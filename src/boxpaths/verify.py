@@ -843,7 +843,7 @@ def _series_orders(ctx: _Ctx) -> tuple[int, int]:
 
 
 def _integral(s: series.BiSeries) -> bool:
-    return all(c.denominator == 1 for row in s.coeffs for c in row)
+    return all(type(c) is int for row in s.coeffs for c in row)
 
 
 @_register("series", "skew-equation")

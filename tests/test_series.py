@@ -1,6 +1,7 @@
 """Truncated bivariate series: arithmetic, the five equations, coefficients."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -57,6 +58,24 @@ def test_reciprocal_requires_constant_term():
         x.reciprocal()
 
 
+def test_reciprocal_is_exact_over_the_integers():
+    T, X = 2, 5
+    x = x_series(T, X)
+    geom = (1 - x).reciprocal()
+    assert all(geom.coefficient(0, n) == 1 for n in range(X + 1))
+    assert all(type(c) is int for row in geom.coeffs for c in row)
+    # 1/(2 - x) = 1/2 + x/4 + ... has no integer coefficients
+    with pytest.raises(ArithmeticError):
+        (BiSeries.constant(2, T, X) - x).reciprocal()
+
+
+def test_build_rejects_non_integral_values():
+    assert BiSeries.build(1, 1, [(0, 0, Fraction(6, 3))]).coefficient(0, 0) == 2
+    for value in (Fraction(1, 2), 0.5, float("inf"), "1"):
+        with pytest.raises(ValueError):
+            BiSeries.build(1, 1, [(0, 0, value)])
+
+
 def test_pow_zero_and_mismatched_orders():
     x = x_series(2, 4)
     assert x ** 0 == BiSeries.constant(1, 2, 4)
@@ -95,7 +114,61 @@ def test_skew_series_t0_column_counts_factor_free_paths():
 
 def test_skew_series_coefficients_are_integers():
     R = solve_skew_dyck_series(5, 11)
-    assert all(c.denominator == 1 for row in R.coeffs for c in row)
+    assert all(type(c) is int for row in R.coeffs for c in row)
+
+
+def _skew_dp(t_order, x_order):
+    """table[j][m]: skew Dyck paths of semilength m <= x_order with j <= t_order
+    UDL-factors, by a transfer matrix over (height, previous step, progress
+    through U D L).  A path of semilength m has 2m steps and ends at height 0."""
+    table = [[0] * (x_order + 1) for _ in range(t_order + 1)]
+    table[0][0] = 1
+    layer = {(0, "", 0): [1]}
+    for step in range(1, 2 * x_order + 1):
+        nxt = {}
+        for (h, prev, prog), poly in layer.items():
+            moves = []
+            if prev != "L":
+                moves.append((h + 1, "U", 1, 0))
+            if h > 0:
+                moves.append((h - 1, "D", 2 if prog == 1 else 0, 0))
+                if prev != "U":
+                    moves.append((h - 1, "L", 0, 1 if prog == 2 else 0))
+            for h2, s, prog2, shift in moves:
+                if h2 > 2 * x_order - step:
+                    continue  # too high to come back down in time
+                row = nxt.setdefault((h2, s, prog2), [0] * (t_order + 1))
+                for j, c in enumerate(poly[:t_order + 1 - shift]):
+                    row[j + shift] += c
+        layer = nxt
+        if step % 2 == 0:
+            for (h, _, _), poly in layer.items():
+                if h == 0:
+                    for j, c in enumerate(poly):
+                        table[j][step // 2] += c
+    return table
+
+
+def test_skew_series_matches_transfer_matrix_deep():
+    T, X = 13, 40
+    R = solve_skew_dyck_series(T, X)
+    table = _skew_dp(T, X)
+    assert [[R.coefficient(j, m) for m in range(X + 1)] for j in range(T + 1)] == table
+    assert [sum(table[j][m] for j in range(T + 1)) for m in range(9)] == SKEW_COUNTS
+    for n in range(1, T + 1):
+        assert R.coefficient(n, 3 * n - 1) == Fraction(comb(3 * n - 1, n), 3 * n - 1)
+
+
+def test_long_ascent_and_returns_series_deep():
+    T, X = 10, 30
+    for k in range(4):
+        F = long_ascent_series(k, T, X)
+        H = returns_series(k, T, X)
+        for n in range(1, X + 1):
+            for j in range(T + 1):
+                if (k, n, j) != (0, 1, 1):  # the degenerate cell, see below
+                    assert F.coefficient(j, n) == count_box_by_long_ascents(k, n, j)
+                assert H.coefficient(j, n) == count_box_by_returns(k, n, j)
 
 
 def test_tree_series_coefficients():
