@@ -6,13 +6,15 @@ biject (run a bijection or its inverse on one input), verify (the
 cross-checking harness) and bfile (OEIS-style "index value" listings).
 
 All data goes to stdout and diagnostics to stderr; output is a pure
-function of the flags.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+function of the flags, apart from the wall times that verify --format
+json reports.  Exit codes: 0 success, 1 verification failure, 2 usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import bijections, counting, paths, series, trees, verify
@@ -143,8 +145,11 @@ def cmd_biject(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify.run_suite(args.suite, args.max_k, args.max_n)
-    for line in report.lines():
-        print(line)
+    if args.format == "json":
+        print(json.dumps(report.as_dict(), indent=2))
+    else:
+        for line in report.lines():
+            print(line)
     return 0 if report.ok else 1
 
 
@@ -248,6 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
     p.add_argument("--max-k", type=int, default=2)
     p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="json: one record per check with its wall time")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bfile", help="OEIS-style b-file listing")

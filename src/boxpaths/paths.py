@@ -332,62 +332,123 @@ def box_long_ascent_count(path: PathWord, k: int) -> int:
     return st.ascents if k == 0 else st.long_ascents
 
 
+def _trusted_word(word: str) -> PathWord:
+    """A PathWord built without the alphabet scan in PathWord.__post_init__.
+
+    Only for the generators below, which assemble their words from the
+    letters U, D and L themselves; every other caller validates.
+    """
+    path = object.__new__(PathWord)
+    object.__setattr__(path, "word", word)
+    return path
+
+
+# The skew generator takes the last steps of every word from a table of
+# completions.  Six steps keep the table at about 600 short strings; each
+# two steps more multiply it by about six and bought no speed at
+# semilength 11.
+_TAIL_STEPS = 6
+
+
+def _skew_moves(u: int, d: int, prev: str,
+                allow_left: bool) -> list[tuple[str, int, int]]:
+    """The steps allowed after `prev` with u ups and d downs left, in word
+    order U < D < L, each with the ups and downs left after it.
+
+    The height is d - u; UL and LU are forbidden factors.
+    """
+    moves = []
+    if u and prev != "L":
+        moves.append(("U", u - 1, d))
+    if d > u:
+        moves.append(("D", u, d - 1))
+        if allow_left and prev != "U":
+            moves.append(("L", u, d - 1))
+    return moves
+
+
+def _skew_tails(allow_left: bool) -> dict[tuple[int, int, str], list[str]]:
+    """Every completion of at most _TAIL_STEPS steps, in word order, keyed
+    by (ups left, downs left, previous step); built bottom-up."""
+    tails = {(0, 0, prev): [""] for prev in "UDL"}
+    for steps in range(1, _TAIL_STEPS + 1):
+        for u in range(steps // 2 + 1):
+            d = steps - u
+            for prev in "UDL":
+                tails[(u, d, prev)] = [
+                    step + tail
+                    for step, u2, d2 in _skew_moves(u, d, prev, allow_left)
+                    for tail in tails[(u2, d2, step)]
+                ]
+    return tails
+
+
 def generate_skew_dyck(semilength: int, allow_left: bool = True) -> Iterator[PathWord]:
-    """Yield all skew Dyck paths of the given semilength, lexicographically (U < D < L)."""
+    """Yield all skew Dyck paths of the given semilength, lexicographically (U < D < L).
+
+    The paths stream one at a time from an explicit stack of prefixes; the
+    last few steps come from a per-call table of completions.  Words are
+    built from their letters and not validated again.
+    """
     if semilength < 0:
         raise ValueError("semilength must be >= 0")
-    buf: list[str] = []
+    return _skew_words(semilength, allow_left)
 
-    def rec(u_left: int, d_left: int, height: int, prev: str) -> Iterator[PathWord]:
-        if u_left == 0 and d_left == 0:
-            yield PathWord("".join(buf))
-            return
-        if u_left and prev != "L" and height + 1 <= d_left:
-            buf.append("U")
-            yield from rec(u_left - 1, d_left, height + 1, "U")
-            buf.pop()
-        if height > 0:
-            buf.append("D")
-            yield from rec(u_left, d_left - 1, height - 1, "D")
-            buf.pop()
-            if allow_left and prev != "U":
-                buf.append("L")
-                yield from rec(u_left, d_left - 1, height - 1, "L")
-                buf.pop()
 
-    return rec(semilength, semilength, 0, "")
+def _skew_words(semilength: int, allow_left: bool) -> Iterator[PathWord]:
+    tails = _skew_tails(allow_left)
+    # (prefix, ups left, downs left, previous step); the empty start acts
+    # as a D, which forbids neither U nor L
+    stack = [("", semilength, semilength, "D")]
+    while stack:
+        prefix, u, d, prev = stack.pop()
+        if u + d <= _TAIL_STEPS:
+            for tail in tails[(u, d, prev)]:
+                yield _trusted_word(prefix + tail)
+            continue
+        # pushed last move first, so the pops follow word order
+        for step, u2, d2 in reversed(_skew_moves(u, d, prev, allow_left)):
+            stack.append((prefix + step, u2, d2, step))
 
 
 def generate_dyck(semilength: int) -> Iterator[PathWord]:
-    """Yield all Dyck paths of the given semilength, lexicographically (U < D)."""
+    """Yield all Dyck paths of the given semilength, lexicographically (U < D).
+
+    Streams like generate_skew_dyck, of which it is the L-free case.
+    """
     return generate_skew_dyck(semilength, allow_left=False)
 
 
 def generate_k_box(k: int, n: int) -> Iterator[PathWord]:
-    """Yield all k-box paths of size n in lexicographic word order."""
+    """Yield all k-box paths of size n in lexicographic word order.
+
+    The paths stream from an explicit stack of ascent prefixes, each word
+    concatenated from the template pieces U^a D^k L D and not validated
+    again.  Argument errors raise at the call, not at the first next().
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
     if k == 0:
-        yield from generate_dyck(n - 1)
-        return
+        return generate_dyck(n - 1)
+    return _box_words(k, n)
+
+
+def _box_words(k: int, n: int) -> Iterator[PathWord]:
     total = (k + 2) * n - 1
-    parts: list[int] = []
-
-    def rec(i: int, prefix: int) -> Iterator[PathWord]:
+    inner = "D" * k + "L" + "D"
+    last = "D" * k + "L"
+    # (word so far, ascents placed, their sum)
+    stack = [("", 0, 0)]
+    while stack:
+        prefix, i, placed = stack.pop()
         if i == n - 1:
-            parts.append(total - prefix)
-            yield path_of_composition(Composition(k, tuple(parts)))
-            parts.pop()
-            return
-        # larger ascent first: the template puts D right after the run,
-        # so descending a_i is ascending word order under U < D < L
-        lo = max(1, (k + 2) * (i + 1) - prefix)
-        hi = total - prefix - (n - 1 - i)
-        for a in range(hi, lo - 1, -1):
-            parts.append(a)
-            yield from rec(i + 1, prefix + a)
-            parts.pop()
-
-    yield from rec(0, 0)
+            yield _trusted_word(prefix + "U" * (total - placed) + last)
+            continue
+        # the template puts D right after each run, so descending ascents
+        # are ascending word order; the largest is pushed last, popped first
+        lo = max(1, (k + 2) * (i + 1) - placed)
+        hi = total - placed - (n - 1 - i)
+        for a in range(lo, hi + 1):
+            stack.append((prefix + "U" * a + inner, i + 1, placed + a))

@@ -15,8 +15,9 @@ suite and check name.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -43,13 +44,14 @@ FORMULA_DEPTH = 20
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """Outcome of one named check."""
+    """Outcome of one named check, with its wall time in seconds."""
 
     name: str
     suite: str
     params: str
     cases: int
     failures: tuple[str, ...]
+    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -79,6 +81,17 @@ class VerificationReport:
         good = sum(c.passed for c in self.checks)
         out.append(f"{good}/{len(self.checks)} checks passed")
         return out
+
+    def as_dict(self) -> dict:
+        """The report as plain data: every check with all its failures and
+        its wall time, plus the overall outcome."""
+        return {
+            "suite": self.suite,
+            "max_k": self.max_k,
+            "max_n": self.max_n,
+            "ok": self.ok,
+            "checks": [asdict(c) for c in self.checks],
+        }
 
 
 class _Ctx:
@@ -124,8 +137,11 @@ def run_suite(suite: str = "all", max_k: int = 2, max_n: int = 4) -> Verificatio
     for suite_name, name, fn in _CHECKS:
         if suite != "all" and suite_name != suite:
             continue
+        start = time.perf_counter()
         params, cases, failures = fn(ctx)
-        records.append(CheckRecord(name, suite_name, params, cases, tuple(failures)))
+        elapsed = time.perf_counter() - start
+        records.append(CheckRecord(name, suite_name, params, cases,
+                                   tuple(failures), elapsed))
     records.sort(key=lambda r: (SUITES.index(r.suite), r.name))
     return VerificationReport(suite, max_k, max_n, tuple(records))
 

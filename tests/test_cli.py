@@ -5,6 +5,7 @@ codes and the exact bytes on stdout are covered together.  The golden
 tables and b-files live under tests/fixtures/.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,31 @@ def test_verify_reports_injected_fault(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "replay: boxpaths" in out
+    code, out, _ = run(
+        capsys, "verify", "--suite", "formulas", "--max-k", "1", "--max-n", "3",
+        "--format", "json",
+    )
+    data = json.loads(out)
+    assert code == 1 and data["ok"] is False
+    assert any("replay: boxpaths" in f for c in data["checks"] for f in c["failures"])
+
+
+def test_verify_json_format(capsys):
+    argv = ("verify", "--suite", "formulas", "--max-k", "1", "--max-n", "3")
+    code, text, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--format", "text") == (code, text, "")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert set(data) == {"suite", "max_k", "max_n", "ok", "checks"}
+    assert data["ok"] is True
+    lines = text.splitlines()
+    assert len(data["checks"]) == len(lines) - 1
+    for line, c in zip(lines, data["checks"]):
+        assert set(c) == {"suite", "name", "params", "cases", "failures", "elapsed"}
+        # the text line carries no timing
+        assert line == f"PASS {c['suite']}/{c['name']} [{c['params']}] {c['cases']} cases"
+        assert c["failures"] == [] and c["elapsed"] >= 0
 
 
 def test_verify_bad_suite_is_usage_error(capsys):

@@ -1,5 +1,7 @@
 """Path words, classification, compositions and the exhaustive generators."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,8 +27,8 @@ from boxpaths import (
     stats,
 )
 
-# skew Dyck path counts by semilength 0..6
-SKEW_COUNTS = [1, 1, 3, 10, 36, 137, 543]
+# skew Dyck path counts by semilength 0..11 (OEIS A002212)
+SKEW_COUNTS = [1, 1, 3, 10, 36, 137, 543, 2219, 9285, 39587, 171369, 751236]
 
 EXAMPLE = "UUUDLDUUUDLDUUDL"
 
@@ -46,6 +48,10 @@ def test_parse_path_rejects_other_letters():
     assert err.value.index == 2
     with pytest.raises(ParseError):
         PathWord("UD L")
+    for make in (PathWord, parse_path):
+        with pytest.raises(ParseError) as err:
+            make("UXD")
+        assert err.value.index == 1
 
 
 def test_stats_of_worked_example():
@@ -164,8 +170,22 @@ def test_box_ascents_rejects_non_box():
 
 
 def test_generate_skew_dyck_counts():
-    for m, want in enumerate(SKEW_COUNTS):
+    # semilength 11 is counted by test_generate_skew_dyck_streams
+    for m, want in enumerate(SKEW_COUNTS[:-1]):
         assert sum(1 for _ in generate_skew_dyck(m)) == want
+
+
+def test_generate_skew_dyck_streams():
+    assert next(generate_skew_dyck(200)).word == "U" * 200 + "D" * 200
+    # the 751 236 words of semilength 11 would take over 100 MB as a list
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in generate_skew_dyck(11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == SKEW_COUNTS[11]
+    assert peak < 2 * 2**20
 
 
 def test_generate_skew_dyck_semilength_two():
@@ -173,7 +193,7 @@ def test_generate_skew_dyck_semilength_two():
 
 
 def test_generate_skew_dyck_lex_order_and_validity():
-    for m in range(6):
+    for m in range(10):
         words = [p.word for p in generate_skew_dyck(m)]
         assert words == sorted(words, key=lex_key)
         assert len(set(words)) == len(words)
@@ -182,7 +202,7 @@ def test_generate_skew_dyck_lex_order_and_validity():
 
 
 def test_generate_dyck_is_catalan():
-    for m in range(7):
+    for m in range(13):
         words = [p.word for p in generate_dyck(m)]
         assert len(words) == catalan(m)
         assert all("L" not in w for w in words)
@@ -197,6 +217,29 @@ def test_generate_k_box_counts_and_membership():
             assert words == sorted(words, key=lex_key)
             for w in words:
                 assert classify(PathWord(w), k).box_size == n
+
+
+def test_generate_k_box_words_are_their_compositions():
+    # the generator builds words from the template without validating them
+    for k in range(1, 4):
+        for n in range(1, 7):
+            tuples = []
+            for p in generate_k_box(k, n):
+                comp = Composition(k, box_ascents(p, k))
+                assert path_of_composition(comp) == p
+                tuples.append(comp.parts)
+            assert len(tuples) == count_box(k, n)
+            assert all(a > b for a, b in zip(tuples, tuples[1:]))
+
+
+def test_generated_words_equal_validated_words():
+    words = [p for m in range(6) for p in generate_skew_dyck(m)]
+    words += [p for m in range(6) for p in generate_dyck(m)]
+    words += [p for k in range(3) for n in range(1, 5) for p in generate_k_box(k, n)]
+    for p in words:
+        checked = PathWord(p.word)
+        assert type(p) is PathWord
+        assert p == checked and hash(p) == hash(checked)
 
 
 def test_generate_k_box_smallest():
@@ -216,12 +259,17 @@ def test_box_statistic_conventions():
 
 
 def test_domain_errors():
+    # raised at the call, before any next()
     with pytest.raises(ValueError):
-        next(generate_k_box(-1, 1))
+        generate_k_box(-1, 1)
     with pytest.raises(ValueError):
-        next(generate_k_box(1, 0))
+        generate_k_box(-1, 2)
     with pytest.raises(ValueError):
-        next(generate_skew_dyck(-1))
+        generate_k_box(1, 0)
+    with pytest.raises(ValueError):
+        generate_k_box(0, 0)
+    with pytest.raises(ValueError):
+        generate_skew_dyck(-1)
 
 
 @st.composite

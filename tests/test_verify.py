@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from boxpaths import counting
+from boxpaths import counting, paths
 from boxpaths.verify import (
     SUITES,
     CheckRecord,
@@ -99,6 +99,34 @@ def test_injected_count_fault_reaches_bijection_suite(monkeypatch):
     report = run_suite("bijections", max_k=1, max_n=3)
     assert not report.ok
     assert any(not c.passed and c.name == "box-generator" for c in report.checks)
+
+
+def test_injected_generator_fault_reaches_family_minimality(monkeypatch):
+    # the check must enumerate through the module attribute: drop the skew
+    # paths of semilength 7 with two UDDL factors (the 2-box paths of size 2)
+    real = paths.generate_skew_dyck
+
+    def dropping(semilength, allow_left=True):
+        words = real(semilength, allow_left)
+        if semilength != 7:
+            return words
+        return (p for p in words if p.word.count("UDDL") != 2)
+
+    monkeypatch.setattr(paths, "generate_skew_dyck", dropping)
+    report = run_suite("bijections", 2, 2)
+    bad = [c for c in report.checks if not c.passed]
+    assert [c.name for c in bad] == ["family-minimality"]
+    assert any("replay: boxpaths enumerate" in f for f in bad[0].failures)
+
+
+def test_records_carry_wall_time():
+    report = run_suite("formulas", max_k=1, max_n=3)
+    assert all(c.elapsed > 0 for c in report.checks)
+    data = report.as_dict()
+    assert data["ok"] is True
+    assert (data["suite"], data["max_k"], data["max_n"]) == ("formulas", 1, 3)
+    assert [c["name"] for c in data["checks"]] == [c.name for c in report.checks]
+    assert data["checks"][0]["elapsed"] == report.checks[0].elapsed
 
 
 def test_check_record_passed():
