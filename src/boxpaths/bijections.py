@@ -13,6 +13,7 @@ from .paths import (
     Composition,
     InvalidPathError,
     PathWord,
+    _trusted_word,
     box_ascents,
     classify,
     path_of_composition,
@@ -146,16 +147,27 @@ def decompose_box(path: PathWord, k: int) -> BoxDecomposition:
     """
     _require_box(path, k)
     if k == 0:
-        return BoxDecomposition(0, (PathWord(_augment(path.word, 1)),))
+        return BoxDecomposition(0, (_trusted_word(_augment(path.word, 1)),))
     word = path.word
-    h = _heights(word)
+    # the last two returns to each level 0..k: the last is on the final
+    # D^k L, the one before ends the part at that level, if it comes
+    # after the part's start
+    last = [-1] * (k + 1)
+    penultimate = [-1] * (k + 1)
+    height = 0
+    for i, ch in enumerate(word):
+        if ch == "U":
+            height += 1
+            continue
+        height -= 1
+        if height <= k:
+            penultimate[height] = last[height]
+            last[height] = i
     parts: list[PathWord] = []
     pos = 0
     for level in range(k + 1):
-        rets = [i for i in range(pos, len(word))
-                if word[i] != "U" and h[i + 1] == level]
-        end = rets[-2] + 1 if len(rets) >= 2 else pos
-        parts.append(PathWord(word[pos:end]))
+        end = max(pos, penultimate[level] + 1)
+        parts.append(_trusted_word(word[pos:end]))
         if end >= len(word) or word[end] != "U":
             raise InvalidPathError(f"expected separator U at index {end}")
         pos = end + 1
@@ -168,14 +180,12 @@ def compose_box(dec: BoxDecomposition) -> PathWord:
     """Reassemble mu_1 U mu_2 U ... mu_(k+1) U D^k L from decomposition parts."""
     k = dec.k
     if k == 0:
-        word = _strip_augmented(dec.parts[0].word, 1)
-        path = PathWord(word)
+        path = _trusted_word(_strip_augmented(dec.parts[0].word, 1))
         _require_box(path, 0)
         return path
     for part in dec.parts:
         _strip_augmented(part.word, k + 1)
-    word = "".join(p.word + "U" for p in dec.parts) + "D" * k + "L"
-    path = PathWord(word)
+    path = _trusted_word("".join(p.word + "U" for p in dec.parts) + "D" * k + "L")
     _require_box(path, k)
     return path
 
@@ -195,7 +205,7 @@ def tree_tuple_to_box(tup: TreeTuple, k: int) -> PathWord:
     for tree in tup.trees:
         if tree.arity != k + 2:
             raise ValueError(f"expected arity {k + 2}, got {tree.arity}")
-    parts = tuple(PathWord(_augment(tree_to_kdyck(t).word, k + 1))
+    parts = tuple(_trusted_word(_augment(tree_to_kdyck(t).word, k + 1))
                   for t in tup.trees)
     return compose_box(BoxDecomposition(k, parts))
 
@@ -251,8 +261,7 @@ def _path_of_ascents(parts: tuple[int, ...], k: int) -> PathWord:
         if s < 2 * (i + 1):
             raise InvalidPathError(
                 f"prefix sum {s} at index {i} is below {2 * (i + 1)}")
-    word = "".join("U" * (x - 1) + "D" for x in parts[:-1])
-    return PathWord(word)
+    return _trusted_word("".join("U" * (x - 1) + "D" for x in parts[:-1]))
 
 
 def box_to_threshold(path: PathWord, k: int) -> ThresholdSequence:

@@ -93,12 +93,13 @@ def cmd_enumerate(args) -> int:
         return 0
     if args.k is None:
         raise ValueError("--family box needs --k")
+    if args.format == "compositions":
+        # for k = 0 these are the virtual ascent tuples
+        for parts in paths.generate_box_ascents(args.k, args.n):
+            print(",".join(str(a) for a in parts))
+        return 0
     for p in paths.generate_k_box(args.k, args.n):
-        if args.format == "compositions":
-            # for k = 0 this prints the virtual ascent tuple
-            print(",".join(str(a) for a in paths.box_ascents(p, args.k)))
-        else:
-            print(p.word)
+        print(p.word)
     return 0
 
 

@@ -316,7 +316,7 @@ def path_of_composition(comp: Composition) -> PathWord:
     inner = "D" * k + "L" + "D"
     pieces = ["U" * a + inner for a in comp.parts[:-1]]
     pieces.append("U" * comp.parts[-1] + "D" * k + "L")
-    return PathWord("".join(pieces))
+    return _trusted_word("".join(pieces))
 
 
 def box_return_count(path: PathWord, k: int) -> int:
@@ -335,8 +335,9 @@ def box_long_ascent_count(path: PathWord, k: int) -> int:
 def _trusted_word(word: str) -> PathWord:
     """A PathWord built without the alphabet scan in PathWord.__post_init__.
 
-    Only for the generators below, which assemble their words from the
-    letters U, D and L themselves; every other caller validates.
+    Only for words the package assembles itself from the letters U, D and
+    L, or from slices and joins of words already validated; every other
+    caller validates.
     """
     path = object.__new__(PathWord)
     object.__setattr__(path, "word", word)
@@ -426,29 +427,51 @@ def generate_k_box(k: int, n: int) -> Iterator[PathWord]:
     concatenated from the template pieces U^a D^k L D and not validated
     again.  Argument errors raise at the call, not at the first next().
     """
+    _check_box_args(k, n)
+    if k == 0:
+        return generate_dyck(n - 1)
+    inner = "D" * k + "L" + "D"
+    last = "D" * k + "L"
+    # an ascent is at most (k + 1) n, the last one at most k + 1
+    pieces = ["U" * a + inner for a in range((k + 1) * n + 1)]
+    finals = ["U" * a + last for a in range(k + 2)]
+    return map(_trusted_word, _ascent_walk(k, n, "", pieces, finals))
+
+
+def generate_box_ascents(k: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the ascent tuples of generate_k_box(k, n)'s paths, in the same
+    order, without building the paths; for k = 0 the virtual tuples of
+    box_ascents."""
+    _check_box_args(k, n)
+    # the virtual 0-box tuples obey the same bounds with k = 0
+    singles = [(a,) for a in range((k + 1) * n + 1)]
+    return _ascent_walk(k, n, (), singles, singles)
+
+
+def _check_box_args(k: int, n: int) -> None:
     if k < 0:
         raise ValueError("k must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if k == 0:
-        return generate_dyck(n - 1)
-    return _box_words(k, n)
 
 
-def _box_words(k: int, n: int) -> Iterator[PathWord]:
+def _ascent_walk(k: int, n: int, start, pieces, finals) -> Iterator:
+    """start + pieces[a_1] + ... + pieces[a_(n-1)] + finals[a_n] for every
+    ascent tuple of a k-box path of size n, tuples in descending order.
+
+    The template puts D right after each run, so descending ascents are
+    ascending word order.
+    """
     total = (k + 2) * n - 1
-    inner = "D" * k + "L" + "D"
-    last = "D" * k + "L"
-    # (word so far, ascents placed, their sum)
-    stack = [("", 0, 0)]
+    # (concatenation so far, ascents placed, their sum)
+    stack = [(start, 0, 0)]
     while stack:
         prefix, i, placed = stack.pop()
         if i == n - 1:
-            yield _trusted_word(prefix + "U" * (total - placed) + last)
+            yield prefix + finals[total - placed]
             continue
-        # the template puts D right after each run, so descending ascents
-        # are ascending word order; the largest is pushed last, popped first
+        # the largest ascent is pushed last, popped first
         lo = max(1, (k + 2) * (i + 1) - placed)
         hi = total - placed - (n - 1 - i)
         for a in range(lo, hi + 1):
-            stack.append((prefix + "U" * a + inner, i + 1, placed + a))
+            stack.append((prefix + pieces[a], i + 1, placed + a))

@@ -19,9 +19,44 @@ from typing import Iterator
 from .paths import InvalidPathError, PathWord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class TreeNode:
+    """A node and its ordered child slots; None marks an empty slot.
+
+    Equality is structural and equal trees hash equal.  Both walk the
+    subtree on an explicit stack, so any depth works.
+    """
+
     children: tuple["TreeNode | None", ...]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a is None or b is None or len(a.children) != len(b.children):
+                return False
+            stack += zip(a.children, b.children)
+        return True
+
+    def __hash__(self) -> int:
+        # the preorder slot counts, -1 for an empty slot, are a prefix
+        # code: equal trees, and only they, give equal tuples
+        return hash(tuple(-1 if node is None else len(node.children)
+                          for node in _preorder(self)))
+
+
+def _preorder(root: TreeNode | None) -> Iterator[TreeNode | None]:
+    """Every slot of the tree, empty ones as None, parents before children."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node is not None:
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)
@@ -44,20 +79,24 @@ class KAryTree:
         return format_tree(self)
 
 
-def _check_arity(node: TreeNode | None, arity: int) -> None:
-    if node is None:
-        return
-    if len(node.children) != arity:
-        raise ValueError(
-            f"node has {len(node.children)} child slots, expected {arity}")
-    for child in node.children:
-        _check_arity(child, arity)
+def _check_arity(root: TreeNode | None, arity: int) -> None:
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        if len(node.children) != arity:
+            # this walk goes right to left; name the first wrong node in
+            # preorder, so the message does not depend on the walk
+            node = next(n for n in _preorder(root)
+                        if n is not None and len(n.children) != arity)
+            raise ValueError(
+                f"node has {len(node.children)} child slots, expected {arity}")
+        stack += node.children
 
 
-def _count(node: TreeNode | None) -> int:
-    if node is None:
-        return 0
-    return 1 + sum(_count(c) for c in node.children)
+def _count(root: TreeNode | None) -> int:
+    return sum(node is not None for node in _preorder(root))
 
 
 @dataclass(frozen=True)
@@ -76,42 +115,51 @@ class TreeTuple:
 
 def format_tree(tree: KAryTree) -> str:
     """Render a tree: '-' for empty, '(c_0 c_1 ...)' per node."""
-
-    def fmt(node: TreeNode | None) -> str:
-        if node is None:
-            return "-"
-        return "(" + " ".join(fmt(c) for c in node.children) + ")"
-
-    return fmt(tree.root)
+    out: list[str] = []
+    # slots still to render and the text between them, last one on top
+    stack: list[TreeNode | str | None] = [tree.root]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            out.append("-")
+        elif item.__class__ is str:
+            out.append(item)
+        else:
+            out.append("(")
+            stack.append(")")
+            children = item.children
+            for i in range(len(children) - 1, 0, -1):
+                stack.append(children[i])
+                stack.append(" ")
+            if children:
+                stack.append(children[0])
+    return "".join(out)
 
 
 def parse_tree(text: str, arity: int) -> KAryTree:
     """Parse the format_tree() notation back into a tree."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse_node() -> TreeNode | None:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of tree text")
-        tok = tokens[pos]
-        pos += 1
+    # the children read so far of each node whose ')' is still to come
+    open_nodes: list[list[TreeNode | None]] = []
+    for pos, tok in enumerate(tokens):
+        if tok == "(":
+            open_nodes.append([])
+            continue
         if tok == "-":
-            return None
-        if tok != "(":
+            node = None
+        elif tok == ")" and open_nodes:
+            node = TreeNode(tuple(open_nodes.pop()))
+        else:
             raise ValueError(f"unexpected token {tok!r} in tree text")
-        children = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            children.append(parse_node())
-        if pos >= len(tokens):
-            raise ValueError("missing ')' in tree text")
-        pos += 1
-        return TreeNode(tuple(children))
-
-    root = parse_node()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in tree text: {tokens[pos:]}")
-    return KAryTree(arity, root)
+        if not open_nodes:
+            break
+        open_nodes[-1].append(node)
+    else:
+        raise ValueError("missing ')' in tree text" if open_nodes
+                         else "unexpected end of tree text")
+    if pos + 1 != len(tokens):
+        raise ValueError(f"trailing tokens in tree text: {tokens[pos + 1:]}")
+    return KAryTree(arity, node)
 
 
 def generate_trees(arity: int, n: int) -> Iterator[KAryTree]:
@@ -185,51 +233,54 @@ class KDyckPath:
 
 
 def tree_to_kdyck(tree: KAryTree) -> KDyckPath:
-    """Map an arity-a tree to the (a-1)-Dyck path of the same size."""
+    """Map an arity-a tree to the (a-1)-Dyck path of the same size.
+
+    A node with children c_0, ..., c_k reads U c_0 U c_1 ... U c_(k-1) D c_k:
+    each slot is entered by its letter, U for the first k and D for the last.
+    """
     if tree.arity < 2:
         raise ValueError("tree-to-path map needs arity >= 2")
     k = tree.arity - 1
-
-    def walk(node: TreeNode | None) -> str:
-        if node is None:
-            return ""
-        head = "".join("U" + walk(c) for c in node.children[:k])
-        return head + "D" + walk(node.children[k])
-
-    return KDyckPath(k, walk(tree.root))
+    letters = "D" + "U" * k  # the slots' letters, last slot first
+    out: list[str] = []
+    # (letter, content) of the slots still to write, the next one on top
+    stack: list[tuple[str, TreeNode | None]] = [("", tree.root)]
+    while stack:
+        letter, node = stack.pop()
+        out.append(letter)
+        if node is not None:
+            stack.extend(zip(letters, reversed(node.children)))
+    return KDyckPath(k, "".join(out))
 
 
 def kdyck_to_tree(path: KDyckPath) -> KAryTree:
-    """Inverse of tree_to_kdyck: a k-Dyck path becomes a (k+1)-ary tree."""
+    """Inverse of tree_to_kdyck: a k-Dyck path becomes a (k+1)-ary tree.
+
+    Read backwards, a node is c_k D c_(k-1) U ... c_0 U, so one sweep from
+    the right builds every node bottom-up: a D opens a node whose last
+    child is the subtree just completed, and each U closes one more slot.
+    """
     k = path.k
-    word = path.word
-    heights = [0] * (len(word) + 1)
-    for i, ch in enumerate(word):
-        heights[i + 1] = heights[i] + (1 if ch == "U" else -k)
-
-    def parse(lo: int, hi: int, entry: int) -> TreeNode | None:
-        if lo == hi:
-            return None
-        # the root's D is the first D returning to the entry height: D steps
-        # inside mu_1..mu_k end strictly higher, those in mu_{k+1} come later
-        root_d = next(i for i in range(lo, hi)
-                      if word[i] == "D" and heights[i + 1] == entry)
-        tail = parse(root_d + 1, hi, entry)
-        children: list[TreeNode | None] = [tail]
-        end = root_d
-        for j in range(k, 0, -1):
-            # separator before mu_j: last U rising from entry+j-1, after
-            # which the path stays at or above entry+j
-            sep = max(i for i in range(lo, end)
-                      if word[i] == "U" and heights[i] == entry + j - 1)
-            children.append(parse(sep + 1, end, entry + j))
-            end = sep
-        if end != lo:
+    # the children so far, last first, of each node whose U's are still due
+    open_nodes: list[list[TreeNode | None]] = []
+    done: TreeNode | None = None  # the subtree just completed, if any
+    for ch in reversed(path.word):
+        if ch == "D":
+            open_nodes.append([done])
+            done = None
+            continue
+        if not open_nodes:
             raise InvalidPathError("malformed k-Dyck path")
-        children.reverse()
-        return TreeNode(tuple(children))
-
-    return KAryTree(k + 1, parse(0, len(word), 0))
+        slots = open_nodes[-1]
+        slots.append(done)
+        done = None
+        if len(slots) > k:
+            open_nodes.pop()
+            slots.reverse()
+            done = TreeNode(tuple(slots))
+    if open_nodes:
+        raise InvalidPathError("malformed k-Dyck path")
+    return KAryTree(k + 1, done)
 
 
 def _augment(word: str, k: int) -> str:

@@ -6,6 +6,7 @@ import pytest
 
 from boxpaths import (
     BoxDecomposition,
+    Composition,
     InvalidPathError,
     KtDyckPath,
     NotInvertible,
@@ -27,6 +28,7 @@ from boxpaths import (
     invert_return_injection,
     kt_dyck_to_box,
     parse_path,
+    path_of_composition,
     parse_threshold,
     return_injection,
     threshold_to_box,
@@ -146,6 +148,55 @@ def test_all_maps_roundtrip(k):
             assert tree_tuple_to_box(box_to_tree_tuple(p, k), k) == p
             assert kt_dyck_to_box(box_to_kt_dyck(p, k)) == p
             assert threshold_to_box(box_to_threshold(p, k)) == p
+
+
+def shaped_paths(k, n):
+    """The tall and the flat k-box path of size n: ascents ((k+1)n, 1, ..., 1)
+    and (k+2, ..., k+2, k+1); for k = 0, U^(n-1) D^(n-1) and (UD)^(n-1)."""
+    if k == 0:
+        return [PathWord("U" * (n - 1) + "D" * (n - 1)), PathWord("UD" * (n - 1))]
+    tall = ((k + 1) * n,) + (1,) * (n - 1)
+    flat = (k + 2,) * (n - 1) + (k + 1,)
+    return [path_of_composition(Composition(k, parts)) for parts in (tall, flat)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_all_maps_roundtrip_at_size_10000(k):
+    for p in shaped_paths(k, 10**4):
+        tup = box_to_tree_tuple(p, k)
+        assert tup.total_nodes == 10**4 - 1
+        assert tree_tuple_to_box(tup, k) == p
+        assert kt_dyck_to_box(box_to_kt_dyck(p, k)) == p
+        assert threshold_to_box(box_to_threshold(p, k)) == p
+        assert compose_box(decompose_box(p, k)) == p
+
+
+def test_built_words_equal_validated_words():
+    # these maps build their words without validating them again
+    for k in range(3):
+        for n in range(1, 5):
+            for p in all_box(k, n):
+                dec = decompose_box(p, k)
+                built = list(dec.parts) + [
+                    compose_box(dec),
+                    tree_tuple_to_box(box_to_tree_tuple(p, k), k),
+                    kt_dyck_to_box(box_to_kt_dyck(p, k)),
+                    threshold_to_box(box_to_threshold(p, k)),
+                ]
+                if k:
+                    built.append(path_of_composition(Composition(k, box_ascents(p, k))))
+                for q in built:
+                    checked = PathWord(q.word)
+                    assert type(q) is PathWord
+                    assert q == checked and hash(q) == hash(checked)
+
+
+def test_compose_box_rejects_foreign_parts():
+    for parts in [("UUDL", ""), ("", "UUDLD"), ("UUDLDU", ""), ("UUUDLD", "UD")]:
+        with pytest.raises(InvalidPathError):
+            compose_box(BoxDecomposition(1, tuple(PathWord(w) for w in parts)))
+    with pytest.raises(InvalidPathError):
+        compose_box(BoxDecomposition(0, (PathWord("UL"),)))
 
 
 def test_maps_reject_non_box_input():

@@ -12,7 +12,7 @@ import pytest
 
 from boxpaths import counting
 from boxpaths.cli import main
-from boxpaths.paths import box_return_count, generate_k_box
+from boxpaths.paths import PathWord, box_ascents, box_return_count, generate_k_box
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -127,6 +127,19 @@ def test_enumerate_box_k0_compositions_are_virtual(capsys):
     assert out.splitlines() == ["3,1,1", "2,2,1"]
 
 
+def test_enumerate_compositions_are_the_words_ascents(capsys):
+    for k in range(4):
+        for n in range(1, 7):
+            common = ("enumerate", "--family", "box", "--k", str(k), "--n", str(n))
+            code, words, _ = run(capsys, *common)
+            assert code == 0
+            code, out, _ = run(capsys, *common, "--format", "compositions")
+            assert code == 0
+            assert out == "".join(
+                ",".join(map(str, box_ascents(PathWord(w), k))) + "\n"
+                for w in words.splitlines())
+
+
 def test_enumerate_skew(capsys):
     code, out, _ = run(capsys, "enumerate", "--family", "skew", "--n", "2")
     assert code == 0
@@ -198,6 +211,28 @@ def test_biject_size_one_images_are_empty(capsys):
             capsys, "biject", "--k", "1", "--to", to, "--inverse", "--", image
         )
         assert (code, out) == (0, "UUDL\n")
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_biject_round_trips_at_size_5000(capsys, k):
+    n = 5000
+    shapes = {
+        "tall": ((k + 1) * n,) + (1,) * (n - 1),
+        "flat": (k + 2,) * (n - 1) + (k + 1,),
+    }
+    for parts in shapes.values():
+        word = "".join("U" * a + "D" * k + "LD" for a in parts[:-1])
+        word += "U" * parts[-1] + "D" * k + "L"
+        composition = ",".join(map(str, parts))
+        for to in ("trees", "ktdyck", "threshold", "decomposition"):
+            code, image, err = run(
+                capsys, "biject", "--k", str(k), "--to", to, "--composition", composition
+            )
+            assert (code, err) == (0, "")
+            code, out, err = run(
+                capsys, "biject", "--k", str(k), "--to", to, "--inverse", "--", image.strip()
+            )
+            assert (code, out, err) == (0, word + "\n", "")
 
 
 def test_biject_usage_errors(capsys):

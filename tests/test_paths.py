@@ -26,6 +26,7 @@ from boxpaths import (
     path_of_composition,
     stats,
 )
+from boxpaths.paths import generate_box_ascents
 
 # skew Dyck path counts by semilength 0..11 (OEIS A002212)
 SKEW_COUNTS = [1, 1, 3, 10, 36, 137, 543, 2219, 9285, 39587, 171369, 751236]
@@ -232,6 +233,14 @@ def test_generate_k_box_words_are_their_compositions():
             assert all(a > b for a, b in zip(tuples, tuples[1:]))
 
 
+def test_generate_box_ascents_follow_the_words():
+    # the tuples come from the generator's walk, not from the words
+    for k in range(4):
+        for n in range(1, 7):
+            want = [box_ascents(p, k) for p in generate_k_box(k, n)]
+            assert list(generate_box_ascents(k, n)) == want
+
+
 def test_generated_words_equal_validated_words():
     words = [p for m in range(6) for p in generate_skew_dyck(m)]
     words += [p for m in range(6) for p in generate_dyck(m)]
@@ -268,6 +277,10 @@ def test_domain_errors():
         generate_k_box(1, 0)
     with pytest.raises(ValueError):
         generate_k_box(0, 0)
+    with pytest.raises(ValueError):
+        generate_box_ascents(-1, 2)
+    with pytest.raises(ValueError):
+        generate_box_ascents(1, 0)
     with pytest.raises(ValueError):
         generate_skew_dyck(-1)
 

@@ -1,5 +1,7 @@
 """k-ary trees, their big-step path encodings, and the augmented form."""
 
+import sys
+
 import pytest
 
 from boxpaths import (
@@ -7,6 +9,7 @@ from boxpaths import (
     KAryTree,
     KDyckPath,
     TreeNode,
+    TreeTuple,
     augmented_to_kdyck,
     classify,
     format_tree,
@@ -43,6 +46,15 @@ def test_tree_arity_is_checked():
     lopsided = TreeNode((None, None))
     with pytest.raises(ValueError):
         KAryTree(3, lopsided)
+    # a wrong node deep down is found too
+    node = TreeNode((None,))
+    for _ in range(5000):
+        node = TreeNode((node, None))
+    with pytest.raises(ValueError, match="1 child slots, expected 2"):
+        KAryTree(2, node)
+    # of several wrong nodes, the first in preorder is named
+    with pytest.raises(ValueError, match="2 child slots, expected 3"):
+        parse_tree("((- -) (- - - -) -)", 3)
 
 
 def test_format_and_parse_roundtrip():
@@ -63,6 +75,9 @@ def test_parse_tree_errors():
         parse_tree("(- - *)", 3)
     with pytest.raises(ValueError):
         parse_tree("((- -) -", 2)  # unbalanced
+    for text in ("", ")", "(- - -))", "(- - -", "x"):
+        with pytest.raises(ValueError):
+            parse_tree(text, 3)
 
 
 def test_single_node_encodings():
@@ -131,6 +146,107 @@ def test_strip_rejects_foreign_words():
         augmented_to_kdyck(parse_path("UUDL"), 2)
     with pytest.raises(InvalidPathError):
         augmented_to_kdyck(parse_path("UUDLD"), 2)
+
+
+# The recursive tree code the package used before its maps moved onto
+# explicit stacks, kept as the reference the stack-based code must match.
+
+
+def ref_format(node):
+    if node is None:
+        return "-"
+    return "(" + " ".join(ref_format(c) for c in node.children) + ")"
+
+
+def ref_walk(node, k):
+    if node is None:
+        return ""
+    head = "".join("U" + ref_walk(c, k) for c in node.children[:k])
+    return head + "D" + ref_walk(node.children[k], k)
+
+
+def ref_parse(word, k):
+    heights = [0]
+    for ch in word:
+        heights.append(heights[-1] + (1 if ch == "U" else -k))
+
+    def parse(lo, hi, entry):
+        if lo == hi:
+            return None
+        root_d = next(i for i in range(lo, hi)
+                      if word[i] == "D" and heights[i + 1] == entry)
+        children = [parse(root_d + 1, hi, entry)]
+        end = root_d
+        for j in range(k, 0, -1):
+            sep = max(i for i in range(lo, end)
+                      if word[i] == "U" and heights[i] == entry + j - 1)
+            children.append(parse(sep + 1, end, entry + j))
+            end = sep
+        assert end == lo
+        return TreeNode(tuple(reversed(children)))
+
+    return parse(0, len(word), 0)
+
+
+def test_stack_maps_match_recursive_reference():
+    for arity in (2, 3, 4):
+        k = arity - 1
+        for n in range(7):
+            for t in generate_trees(arity, n):
+                assert format_tree(t) == ref_format(t.root)
+                word = ref_walk(t.root, k)
+                assert tree_to_kdyck(t).word == word
+                assert kdyck_to_tree(KDyckPath(k, word)).root == ref_parse(word, k)
+
+
+def chain(depth, slot=0):
+    """A binary tree of `depth` nodes, each the given child of the one above."""
+    node = None
+    for _ in range(depth):
+        node = TreeNode((node, None) if slot == 0 else (None, node))
+    return node
+
+
+def test_deep_trees_compare_and_hash_without_recursion():
+    depth = 10**5
+    assert depth > sys.getrecursionlimit()
+    tree, tree2 = chain(depth), chain(depth)
+    assert tree is not tree2
+    assert tree == tree2 and hash(tree) == hash(tree2)
+    # one node less is a different tree
+    assert tree != tree2.children[0]
+
+
+def test_deep_tree_tuples_compare_and_hash():
+    left, right = chain(5000), chain(5000, slot=1)
+    left2, right2 = chain(5000), chain(5000, slot=1)
+    assert right == right2 and hash(right) == hash(right2)
+    assert left != right
+    # one leaf moved is a different tree
+    assert TreeNode((left2.children[0], TreeNode((None, None)))) != left
+    tup = TreeTuple((KAryTree(2, left), KAryTree(2, right)))
+    tup2 = TreeTuple((KAryTree(2, left2), KAryTree(2, right2)))
+    assert tup == tup2 and hash(tup) == hash(tup2)
+    assert tup.total_nodes == 10000
+
+
+def test_equal_trees_hash_equal():
+    for arity in (2, 3):
+        forest = [t for n in range(5) for t in generate_trees(arity, n)]
+        again = [parse_tree(format_tree(t), arity) for t in forest]
+        for t, u in zip(forest, again):
+            assert t == u and hash(t) == hash(u)
+        assert len(set(forest)) == len(forest)
+        assert set(again) == set(forest)
+    assert TreeNode((None, None)) != (None, None)
+
+
+def test_deep_trees_round_trip_through_text_and_paths():
+    for tree in (chain(5000), chain(5000, slot=1)):
+        t = KAryTree(2, tree)
+        text = format_tree(t)
+        assert parse_tree(text, 2) == t
+        assert kdyck_to_tree(tree_to_kdyck(t)) == t
 
 
 def parse_path(text):
