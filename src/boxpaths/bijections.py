@@ -13,14 +13,15 @@ from .paths import (
     Composition,
     InvalidPathError,
     PathWord,
+    _check_ascents,
     _trusted_word,
     box_ascents,
     classify,
     path_of_composition,
 )
 from .trees import (
-    KAryTree,
     KDyckPath,
+    KtDyckPath,
     TreeTuple,
     _augment,
     _strip_augmented,
@@ -47,42 +48,6 @@ class BoxDecomposition:
         if len(self.parts) != self.k + 1:
             raise ValueError(
                 f"expected {self.k + 1} parts, got {len(self.parts)}")
-
-
-@dataclass(frozen=True)
-class KtDyckPath:
-    """Word over {U, D} with D = (k,-k), allowed down to y = -t, ending at 0."""
-
-    k: int
-    t: int
-    word: str
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0 <= self.t <= self.k - 1:
-            raise ValueError(f"need 0 <= t <= k-1, got t={self.t}")
-        height = 0
-        for i, ch in enumerate(self.word):
-            if ch == "U":
-                height += 1
-            elif ch == "D":
-                height -= self.k
-                if height < -self.t:
-                    raise InvalidPathError(
-                        f"path dips below y=-{self.t} at index {i}")
-            else:
-                raise InvalidPathError(
-                    f"unexpected character {ch!r} at index {i}")
-        if height != 0:
-            raise InvalidPathError(f"path ends at height {height}, not 0")
-
-    @property
-    def size(self) -> int:
-        return self.word.count("D")
-
-    def __str__(self) -> str:
-        return self.word
 
 
 @dataclass(frozen=True)
@@ -235,16 +200,8 @@ def kt_dyck_to_box(path: KtDyckPath) -> PathWord:
     if path.t != path.k - 1:
         raise ValueError(f"box paths map to t = k-1, got k={path.k} t={path.t}")
     k = path.k - 1
-    runs: list[int] = []
-    run = 0
-    for ch in path.word:
-        if ch == "U":
-            run += 1
-        else:
-            runs.append(run)
-            run = 0
-    runs.append(run)
-    parts = (runs[0] + 1 + k,) + tuple(c + 1 for c in runs[1:])
+    runs = path.word.split("D")
+    parts = (len(runs[0]) + 1 + k,) + tuple(len(r) + 1 for r in runs[1:])
     return _path_of_ascents(parts, k)
 
 
@@ -252,15 +209,7 @@ def _path_of_ascents(parts: tuple[int, ...], k: int) -> PathWord:
     """Rebuild a box path from an ascent tuple, honoring the k = 0 convention."""
     if k >= 1:
         return path_of_composition(Composition(k, parts))
-    n = len(parts)
-    if sum(parts) != 2 * n - 1 or parts[-1] != 1 or min(parts) < 1:
-        raise InvalidPathError(f"not a virtual 0-box ascent tuple: {parts}")
-    s = 0
-    for i, x in enumerate(parts[:-1]):
-        s += x
-        if s < 2 * (i + 1):
-            raise InvalidPathError(
-                f"prefix sum {s} at index {i} is below {2 * (i + 1)}")
+    _check_ascents(0, parts)
     return _trusted_word("".join("U" * (x - 1) + "D" for x in parts[:-1]))
 
 

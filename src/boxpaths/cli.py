@@ -19,17 +19,6 @@ import sys
 
 from . import bijections, counting, paths, series, trees, verify
 
-BFILE_SEQUENCES = (
-    "box-counts",
-    "tailed-counts",
-    "returns-triangle",
-    "long-ascents-triangle",
-    "returns-diagonal",
-    "long-ascents-diagonal",
-    "skew-counts",
-)
-
-
 def _stat_fn(stat: str):
     if stat == "returns":
         return counting.count_box_by_returns
@@ -163,47 +152,54 @@ def _skew_count_values(count: int) -> list[int]:
     ]
 
 
-def _triangle_values(fn, k: int, count: int) -> list[int]:
-    out: list[int] = []
-    n = 1
-    while len(out) < count:
-        out.extend(fn(k, n, j) for j in range(1, n + 1))
-        n += 1
-    return out[:count]
+def _terms(term):
+    """The values function of the sequence term(k, 1), term(k, 2), ..."""
+    return lambda k, count: [term(k, i) for i in range(1, count + 1)]
+
+
+def _diagonal(cell):
+    """The values function of cell(k, 1, 1), cell(k, 2, 2), ..."""
+    return _terms(lambda k, i: cell(k, i, i))
+
+
+def _triangle(cell):
+    """The values function of the rows n = 1, 2, ... of cell(k, n, j),
+    j = 1..n, read in order."""
+    def values(k, count: int) -> list[int]:
+        out: list[int] = []
+        n = 1
+        while len(out) < count:
+            out.extend(cell(k, n, j) for j in range(1, n + 1))
+            n += 1
+        return out[:count]
+    return values
+
+
+# each b-file sequence: its values for k and --count, and whether it takes
+# --k; the order is that of the --sequence choices
+_BFILE = {
+    "box-counts": (_terms(counting.count_box), True),
+    "tailed-counts": (_terms(counting.count_tailed), True),
+    "returns-triangle": (_triangle(counting.count_box_by_returns), True),
+    "long-ascents-triangle": (
+        _triangle(counting.count_box_by_long_ascents), True),
+    "returns-diagonal": (_diagonal(counting.count_box_by_returns), True),
+    "long-ascents-diagonal": (
+        _diagonal(counting.count_box_by_long_ascents), True),
+    "skew-counts": (lambda k, count: _skew_count_values(count), False),
+}
+BFILE_SEQUENCES = tuple(_BFILE)
 
 
 def cmd_bfile(args) -> int:
     if args.count < 0:
         raise ValueError("--count must be >= 0")
-    seq, k = args.sequence, args.k
-    if seq == "skew-counts":
-        if k is not None:
-            raise ValueError("skew-counts does not take --k")
-        values = _skew_count_values(args.count)
-    else:
-        if k is None:
-            raise ValueError(f"{seq} needs --k")
-        if seq == "box-counts":
-            values = [counting.count_box(k, i) for i in range(1, args.count + 1)]
-        elif seq == "tailed-counts":
-            values = [counting.count_tailed(k, i) for i in range(1, args.count + 1)]
-        elif seq == "returns-diagonal":
-            values = [
-                counting.count_box_by_returns(k, i, i)
-                for i in range(1, args.count + 1)
-            ]
-        elif seq == "long-ascents-diagonal":
-            values = [
-                counting.count_box_by_long_ascents(k, i, i)
-                for i in range(1, args.count + 1)
-            ]
-        elif seq == "returns-triangle":
-            values = _triangle_values(counting.count_box_by_returns, k, args.count)
-        else:
-            values = _triangle_values(
-                counting.count_box_by_long_ascents, k, args.count
-            )
-    for i, v in enumerate(values, 1):
+    values, takes_k = _BFILE[args.sequence]
+    if takes_k and args.k is None:
+        raise ValueError(f"{args.sequence} needs --k")
+    if not takes_k and args.k is not None:
+        raise ValueError(f"{args.sequence} does not take --k")
+    for i, v in enumerate(values(args.k, args.count), 1):
         print(f"{i} {v}")
     return 0
 

@@ -158,27 +158,31 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
         return PathClass(True, None, dyck, semilength, k=k, box_size=n,
                          tailed=word.endswith(tail))
     if k >= 2:
-        m = _augmented_block_count(word, k)
-        if m is not None:
+        blocks = _block_ascents(word, "D" * (k - 1) + "LD")
+        if not isinstance(blocks, int):
             return PathClass(True, None, dyck, semilength, k=k,
-                             augmented_size=m)
+                             augmented_size=len(blocks))
     return cls
 
 
-def _augmented_block_count(word: str, k: int) -> int | None:
-    """Number of U^a D^(k-1) L D blocks if the word is exactly such blocks."""
-    block_down = "D" * (k - 1) + "L" + "D"
-    i, m = 0, 0
-    while i < len(word):
-        a = 0
-        while i < len(word) and word[i] == "U":
-            i += 1
-            a += 1
-        if a == 0 or word[i : i + k + 1] != block_down:
-            return None
-        i += k + 1
-        m += 1
-    return m
+def _block_ascents(word: str, tail: str) -> tuple[int, ...] | int:
+    """The ascents of word = U^a1 tail ... U^am tail (all a_i >= 1, tail a
+    non-empty word over D and L), or else the index after the U-run of
+    its first malformed block."""
+    # split on the tail, the word is well formed iff the last piece is
+    # empty, no other piece is, and every letter outside the tails is a U
+    runs = word.split(tail)
+    if (not runs.pop() and "" not in runs
+            and word.count("U") == len(word) - len(runs) * len(tail)):
+        return tuple(map(len, runs))
+    i = 0
+    while True:
+        end = i
+        while end < len(word) and word[end] == "U":
+            end += 1
+        if end == i or not word.startswith(tail, end):
+            return end
+        i = end + len(tail)
 
 
 def stats(path: PathWord) -> PathStats:
@@ -218,22 +222,7 @@ class Composition:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("composition form needs k >= 1")
-        n = len(self.parts)
-        if n == 0:
-            raise ValueError("composition must have at least one part")
-        for i, a in enumerate(self.parts):
-            if a < 1:
-                raise ValueError(f"part at index {i} is {a}, must be positive")
-        total = (self.k + 2) * n - 1
-        if sum(self.parts) != total:
-            raise ValueError(
-                f"parts sum to {sum(self.parts)}, expected {total}")
-        s = 0
-        for i, a in enumerate(self.parts[:-1]):
-            s += a
-            if s < (self.k + 2) * (i + 1):
-                raise ValueError(
-                    f"prefix sum {s} at index {i} is below {(self.k + 2) * (i + 1)}")
+        _check_ascents(self.k, self.parts)
 
     @property
     def size(self) -> int:
@@ -241,6 +230,27 @@ class Composition:
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.parts)
+
+
+def _check_ascents(k: int, parts: tuple[int, ...]) -> None:
+    """Reject parts unless each is positive, they sum to (k+2)n - 1 and
+    a_1 + ... + a_i >= (k+2)i for i < n: the ascents of a k-box path, or
+    at k = 0 a virtual tuple (whose last part these bounds force to 1)."""
+    n = len(parts)
+    if n == 0:
+        raise ValueError("composition must have at least one part")
+    for i, a in enumerate(parts):
+        if a < 1:
+            raise ValueError(f"part at index {i} is {a}, must be positive")
+    total = (k + 2) * n - 1
+    if sum(parts) != total:
+        raise ValueError(f"parts sum to {sum(parts)}, expected {total}")
+    s = 0
+    for i, a in enumerate(parts[:-1]):
+        s += a
+        if s < (k + 2) * (i + 1):
+            raise ValueError(
+                f"prefix sum {s} at index {i} is below {(k + 2) * (i + 1)}")
 
 
 def parse_composition(text: str, k: int) -> Composition:
@@ -266,40 +276,18 @@ def box_ascents(path: PathWord, k: int) -> tuple[int, ...]:
         if cls.box_size is None:
             raise InvalidPathError(
                 f"not a Dyck path: {cls.reason or 'contains L steps'}")
-        runs: list[int] = []
-        a = 0
-        for ch in path.word:
-            if ch == "U":
-                a += 1
-            else:
-                runs.append(a + 1)
-                a = 0
-        runs.append(1)
-        return tuple(runs)
+        # the U-runs before each D, then the empty run after the last
+        return tuple(len(run) + 1 for run in path.word.split("D"))
     word = path.word
-    block_down = "D" * k + "L"
-    parts: list[int] = []
-    i = 0
-    while i < len(word):
-        a = 0
-        while i < len(word) and word[i] == "U":
-            i += 1
-            a += 1
-        if a == 0 or word[i : i + k + 1] != block_down:
-            raise InvalidPathError(
-                f"not a {k}-box path: malformed block at index {i}")
-        i += k + 1
-        parts.append(a)
-        if i < len(word):
-            if word[i] != "D":
-                raise InvalidPathError(
-                    f"not a {k}-box path: expected D at index {i}")
-            i += 1
-            if i == len(word):
-                raise InvalidPathError(
-                    f"not a {k}-box path: trailing D at index {i - 1}")
-    comp = Composition(k, tuple(parts))
-    return comp.parts
+    # with one more D the last block reads U^a D^k L D like the others; the
+    # empty word has no blocks, which _check_ascents rejects
+    parts = _block_ascents(word + "D", "D" * k + "LD") if word else ()
+    if isinstance(parts, int):
+        # an index past the word is the appended D: name the last letter
+        raise InvalidPathError(f"not a {k}-box path: malformed block at "
+                               f"index {min(parts, len(word) - 1)}")
+    _check_ascents(k, parts)
+    return parts
 
 
 def composition_of(path: PathWord, k: int) -> Composition:

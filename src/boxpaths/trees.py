@@ -1,7 +1,8 @@
 """k-ary trees, k-Dyck paths and the augmented rewriting between them.
 
 A k-Dyck path uses steps U = (1,1) and D = (k,-k), stays weakly above the
-x-axis and ends on it; its size is the number of D steps.  The first-return
+x-axis and ends on it; its size is the number of D steps.  It is the t = 0
+case of a k_t-Dyck path, which may dip down to y = -t.  The first-return
 decomposition mu = U mu_1 U mu_2 ... U mu_k D mu_{k+1} pairs k-Dyck paths of
 size n with (k+1)-ary trees with n nodes (child i of the root maps to mu_i).
 
@@ -13,18 +14,18 @@ of the box-path decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
-from .paths import InvalidPathError, PathWord
+from .paths import InvalidPathError, PathWord, _block_ascents
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class TreeNode:
     """A node and its ordered child slots; None marks an empty slot.
 
-    Equality is structural and equal trees hash equal.  Both walk the
-    subtree on an explicit stack, so any depth works.
+    Equality is structural and equal trees hash equal.  Both, and the
+    repr, walk the subtree on an explicit stack, so any depth works.
     """
 
     children: tuple["TreeNode | None", ...]
@@ -47,6 +48,10 @@ class TreeNode:
         # code: equal trees, and only they, give equal tuples
         return hash(tuple(-1 if node is None else len(node.children)
                           for node in _preorder(self)))
+
+    def __repr__(self) -> str:
+        # the dataclass text, in which a single child is a 1-tuple (c,)
+        return _write(self, "None", "TreeNode(children=(", ", ", "))", ",))")
 
 
 def _preorder(root: TreeNode | None) -> Iterator[TreeNode | None]:
@@ -115,22 +120,30 @@ class TreeTuple:
 
 def format_tree(tree: KAryTree) -> str:
     """Render a tree: '-' for empty, '(c_0 c_1 ...)' per node."""
+    return _write(tree.root, "-", "(", " ", ")", ")")
+
+
+def _write(root: TreeNode | None, empty: str, opening: str, sep: str,
+           closing: str, closing_one: str) -> str:
+    """The slots under root in preorder: `empty` for an empty slot, and for
+    a node `opening`, its children separated by `sep`, then `closing`, or
+    `closing_one` after a single child."""
     out: list[str] = []
-    # slots still to render and the text between them, last one on top
-    stack: list[TreeNode | str | None] = [tree.root]
+    # slots still to write and the text between them, last one on top
+    stack: list[TreeNode | str | None] = [root]
     while stack:
         item = stack.pop()
         if item is None:
-            out.append("-")
+            out.append(empty)
         elif item.__class__ is str:
             out.append(item)
         else:
-            out.append("(")
-            stack.append(")")
+            out.append(opening)
             children = item.children
+            stack.append(closing_one if len(children) == 1 else closing)
             for i in range(len(children) - 1, 0, -1):
                 stack.append(children[i])
-                stack.append(" ")
+                stack.append(sep)
             if children:
                 stack.append(children[0])
     return "".join(out)
@@ -199,30 +212,33 @@ def _weak_compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class KDyckPath:
-    """Word over {U, D} with D = (k,-k), staying >= 0 and ending at 0."""
+class KtDyckPath:
+    """Word over {U, D} with D = (k,-k), allowed down to y = -t, ending at 0."""
 
     k: int
+    t: int
     word: str
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if not 0 <= self.t <= self.k - 1:
+            raise ValueError(f"need 0 <= t <= k-1, got t={self.t}")
+        k, floor = self.k, -self.t
         height = 0
         for i, ch in enumerate(self.word):
             if ch == "U":
                 height += 1
             elif ch == "D":
-                height -= self.k
-                if height < 0:
+                height -= k
+                if height < floor:
                     raise InvalidPathError(
-                        f"{self.k}-Dyck path dips below the x-axis at index {i}")
+                        f"path dips below y=-{self.t} at index {i}")
             else:
                 raise InvalidPathError(
                     f"unexpected character {ch!r} at index {i}")
         if height != 0:
-            raise InvalidPathError(
-                f"{self.k}-Dyck path ends at height {height}, not 0")
+            raise InvalidPathError(f"path ends at height {height}, not 0")
 
     @property
     def size(self) -> int:
@@ -230,6 +246,13 @@ class KDyckPath:
 
     def __str__(self) -> str:
         return self.word
+
+
+@dataclass(frozen=True)
+class KDyckPath(KtDyckPath):
+    """A k-Dyck path: the t = 0 case, staying >= 0 and ending at 0."""
+
+    t: int = field(default=0, init=False, repr=False)
 
 
 def tree_to_kdyck(tree: KAryTree) -> KDyckPath:
@@ -290,20 +313,13 @@ def _augment(word: str, k: int) -> str:
 
 def _strip_augmented(word: str, k: int) -> str:
     """Inverse of _augment: blocks U^a D^(k-1) L D back to U^(a-1) D."""
-    block_down = "D" * (k - 1) + "LD"
-    out: list[str] = []
-    i = 0
-    while i < len(word):
-        a = 0
-        while i < len(word) and word[i] == "U":
-            i += 1
-            a += 1
-        if a == 0 or word[i : i + k + 1] != block_down:
-            raise InvalidPathError(
-                f"not an augmented {k}-Dyck word: bad block at index {i}")
-        i += k + 1
-        out.append("U" * (a - 1) + "D")
-    return "".join(out)
+    tail = "D" * (k - 1) + "LD"
+    scan = _block_ascents(word, tail)
+    if isinstance(scan, int):
+        raise InvalidPathError(
+            f"not an augmented {k}-Dyck word: bad block at index {scan}")
+    # in a well-formed word, U + tail occurs only at the end of each block
+    return word.replace("U" + tail, "D")
 
 
 def kdyck_to_augmented(path: KDyckPath) -> PathWord:

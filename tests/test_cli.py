@@ -6,13 +6,20 @@ tables and b-files live under tests/fixtures/.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from boxpaths import counting
 from boxpaths.cli import main
-from boxpaths.paths import PathWord, box_ascents, box_return_count, generate_k_box
+from boxpaths.paths import (
+    PathWord,
+    box_ascents,
+    box_long_ascent_count,
+    box_return_count,
+    generate_k_box,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -340,6 +347,35 @@ def test_bfile_long_ascent_diagonal_is_catalan(capsys):
     assert code == 0
     values = [int(line.split()[1]) for line in out.splitlines()]
     assert values == [1, 1, 2, 5, 14, 42]
+
+
+def bfile_text(values):
+    return "".join(f"{i} {v}\n" for i, v in enumerate(values, 1))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_bfile_returns_diagonal_follows_enumeration(capsys, k):
+    # the n-th value counts the size-n paths with n returns
+    want = [sum(box_return_count(p, k) == n for p in generate_k_box(k, n))
+            for n in range(1, 6)]
+    code, out, err = run(
+        capsys, "bfile", "--sequence", "returns-diagonal", "--k", str(k), "--count", "5"
+    )
+    assert (code, out, err) == (0, bfile_text(want), "")
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_bfile_long_ascents_triangle_follows_enumeration(capsys, k):
+    # row n holds the size-n paths with j = 1..n long ascents; 4 rows and
+    # the first cell of the fifth
+    want = []
+    for n in range(1, 6):
+        lasc = Counter(box_long_ascent_count(p, k) for p in generate_k_box(k, n))
+        want += [lasc[j] for j in range(1, n + 1)]
+    code, out, err = run(
+        capsys, "bfile", "--sequence", "long-ascents-triangle", "--k", str(k), "--count", "11"
+    )
+    assert (code, out, err) == (0, bfile_text(want[:11]), "")
 
 
 def test_bfile_tailed_counts_agree_with_library(capsys):

@@ -1,5 +1,6 @@
 """Path words, classification, compositions and the exhaustive generators."""
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -26,7 +27,8 @@ from boxpaths import (
     path_of_composition,
     stats,
 )
-from boxpaths.paths import generate_box_ascents
+from boxpaths.paths import _block_ascents, generate_box_ascents
+from boxpaths.trees import _strip_augmented
 
 # skew Dyck path counts by semilength 0..11 (OEIS A002212)
 SKEW_COUNTS = [1, 1, 3, 10, 36, 137, 543, 2219, 9285, 39587, 171369, 751236]
@@ -168,6 +170,100 @@ def test_box_ascents_matches_composition():
 def test_box_ascents_rejects_non_box():
     with pytest.raises(InvalidPathError):
         box_ascents(PathWord("UUDD"), 1)
+
+
+# The three hand-written block scanners that _block_ascents replaced, kept
+# as references: classify's augmented test, box_ascents' k >= 1 loop and
+# the augmented-word stripper.
+def _reference_augmented_block_count(word, k):
+    block_down = "D" * (k - 1) + "L" + "D"
+    i, m = 0, 0
+    while i < len(word):
+        a = 0
+        while i < len(word) and word[i] == "U":
+            i += 1
+            a += 1
+        if a == 0 or word[i : i + k + 1] != block_down:
+            return None
+        i += k + 1
+        m += 1
+    return m
+
+
+def _reference_box_ascents(word, k):
+    """The ascents, or None where the old loop or Composition refused."""
+    block_down = "D" * k + "L"
+    parts = []
+    i = 0
+    while i < len(word):
+        a = 0
+        while i < len(word) and word[i] == "U":
+            i += 1
+            a += 1
+        if a == 0 or word[i : i + k + 1] != block_down:
+            return None
+        i += k + 1
+        parts.append(a)
+        if i < len(word):
+            if word[i] != "D":
+                return None
+            i += 1
+            if i == len(word):
+                return None
+    try:
+        return Composition(k, tuple(parts)).parts
+    except ValueError:
+        return None
+
+
+def _reference_strip_augmented(word, k):
+    """The stripped word, or the old error message."""
+    block_down = "D" * (k - 1) + "LD"
+    out = []
+    i = 0
+    while i < len(word):
+        a = 0
+        while i < len(word) and word[i] == "U":
+            i += 1
+            a += 1
+        if a == 0 or word[i : i + k + 1] != block_down:
+            return f"not an augmented {k}-Dyck word: bad block at index {i}"
+        i += k + 1
+        out.append("U" * (a - 1) + "D")
+    return "".join(out)
+
+
+def test_block_scanner_matches_the_loops_it_replaced():
+    tails = [(k, "D" * (k - 1) + "LD") for k in range(1, 5)]
+    accepted = {k: 0 for k in range(1, 5)}
+    for length in range(11):
+        for letters in itertools.product("UDL", repeat=length):
+            word = "".join(letters)
+            path = PathWord(word)
+            for k, tail in tails:
+                blocks = _block_ascents(word, tail)
+                count = None if isinstance(blocks, int) else len(blocks)
+                assert count == _reference_augmented_block_count(word, k)
+
+                want = _reference_box_ascents(word, k)
+                try:
+                    got = box_ascents(path, k)
+                except ValueError as exc:
+                    assert want is None, word
+                    message = str(exc)
+                    if "malformed block" in message:
+                        assert int(message.rpartition(" ")[2]) < len(word)
+                else:
+                    assert got == want, word
+                    accepted[k] += 1
+
+                try:
+                    stripped = _strip_augmented(word, k)
+                except InvalidPathError as exc:
+                    stripped = str(exc)
+                assert stripped == _reference_strip_augmented(word, k)
+    # a k-box path of size n has length 2(k+2)n - 2
+    assert accepted == {1: count_box(1, 1) + count_box(1, 2), 2: 1, 3: 1, 4: 1}
 
 
 def test_generate_skew_dyck_counts():

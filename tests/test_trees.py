@@ -1,6 +1,7 @@
 """k-ary trees, their big-step path encodings, and the augmented form."""
 
 import sys
+from dataclasses import make_dataclass
 
 import pytest
 
@@ -8,6 +9,7 @@ from boxpaths import (
     InvalidPathError,
     KAryTree,
     KDyckPath,
+    KtDyckPath,
     TreeNode,
     TreeTuple,
     augmented_to_kdyck,
@@ -21,6 +23,7 @@ from boxpaths import (
     parse_tree,
     tree_to_kdyck,
 )
+from boxpaths import bijections, trees
 
 
 def test_generate_trees_counts():
@@ -97,6 +100,10 @@ def test_kdyck_path_validation():
         KDyckPath(2, "UUDL")  # alphabet is U/D only
     with pytest.raises(ValueError):
         KDyckPath(0, "")
+    # a k-Dyck path is the t = 0 case of a k_t-Dyck path
+    path = KDyckPath(2, "UUD")
+    assert path.t == 0 and isinstance(path, KtDyckPath)
+    assert bijections.KtDyckPath is trees.KtDyckPath is KtDyckPath
 
 
 def test_tree_kdyck_roundtrip():
@@ -199,6 +206,27 @@ def test_stack_maps_match_recursive_reference():
                 assert kdyck_to_tree(KDyckPath(k, word)).root == ref_parse(word, k)
 
 
+# TreeNode as the dataclass decorator wrote its repr, before that repr
+# walked an explicit stack
+DataclassTreeNode = make_dataclass("TreeNode", [("children", tuple)], frozen=True)
+
+
+def dataclass_copy(node):
+    if node is None:
+        return None
+    return DataclassTreeNode(tuple(dataclass_copy(c) for c in node.children))
+
+
+def test_repr_matches_the_dataclass_repr():
+    for arity in (1, 2, 3, 4):
+        for n in range(7):
+            for t in generate_trees(arity, n):
+                want = repr(dataclass_copy(t.root))
+                assert repr(t.root) == want
+                assert repr(t) == f"KAryTree(arity={arity}, root={want})"
+    assert repr(TreeNode(())) == "TreeNode(children=())"
+
+
 def chain(depth, slot=0):
     """A binary tree of `depth` nodes, each the given child of the one above."""
     node = None
@@ -239,6 +267,15 @@ def test_equal_trees_hash_equal():
         assert len(set(forest)) == len(forest)
         assert set(again) == set(forest)
     assert TreeNode((None, None)) != (None, None)
+
+
+def test_deep_trees_repr_without_recursion():
+    tree = chain(5000)
+    want = "TreeNode(children=(" * 5000 + "None, None))" + ", None))" * 4999
+    assert repr(tree) == want
+    tree_text = f"KAryTree(arity=2, root={want})"
+    assert repr(KAryTree(2, tree)) == tree_text
+    assert repr(TreeTuple((KAryTree(2, tree),))) == f"TreeTuple(trees=({tree_text},))"
 
 
 def test_deep_trees_round_trip_through_text_and_paths():
