@@ -88,70 +88,65 @@ class NotInvertible:
     reason: str
 
 
-def _require_box(path: PathWord, k: int) -> int:
+def _require_box(path: PathWord, k: int) -> tuple[int, ...]:
+    """The ascents of a k-box path, from box_ascents; classify only words
+    the rejection."""
+    try:
+        return box_ascents(path, k)
+    except ValueError:
+        _check_box(path, k)
+        raise
+
+
+def _check_box(path: PathWord, k: int) -> None:
+    """Reject a word that classify does not call a k-box path."""
     cls = classify(path, k)
     if cls.box_size is None:
         raise InvalidPathError(
             f"not a {k}-box path: {cls.reason or 'wrong shape'}")
-    return cls.box_size
-
-
-def _heights(word: str) -> list[int]:
-    h = [0] * (len(word) + 1)
-    for i, ch in enumerate(word):
-        h[i + 1] = h[i] + (1 if ch == "U" else -1)
-    return h
 
 
 def decompose_box(path: PathWord, k: int) -> BoxDecomposition:
     """Split a k-box path into its k+1 augmented (k+1)-Dyck parts.
 
-    Part i+1 is the prefix of the remaining path up to its penultimate
-    return to y = i (empty when only one such return is left); one U is
-    skipped after each part and D^k L must remain at the end.
+    The part at level i starts at height i and ends after the last block
+    U^a D^k L D that ends at height i, or is empty when that block ends
+    before the part starts; one U follows each part and D^k L the last.
     """
-    _require_box(path, k)
+    ascents = _require_box(path, k)
     if k == 0:
         return BoxDecomposition(0, (_trusted_word(_augment(path.word, 1)),))
-    word = path.word
-    # the last two returns to each level 0..k: the last is on the final
-    # D^k L, the one before ends the part at that level, if it comes
-    # after the part's start
-    last = [-1] * (k + 1)
-    penultimate = [-1] * (k + 1)
-    height = 0
-    for i, ch in enumerate(word):
-        if ch == "U":
-            height += 1
-            continue
-        height -= 1
+    # block j ends at height a_1 + ... + a_j - (k+2)j, at index
+    # a_1 + ... + a_j + (k+2)j; keep the last end at each level 0..k
+    ends = [0] * (k + 1)
+    height = index = 0
+    for a in ascents[:-1]:
+        height += a - k - 2
+        index += a + k + 2
         if height <= k:
-            penultimate[height] = last[height]
-            last[height] = i
+            ends[height] = index
+    word = path.word
     parts: list[PathWord] = []
     pos = 0
-    for level in range(k + 1):
-        end = max(pos, penultimate[level] + 1)
+    for end in ends:
+        end = max(pos, end)
         parts.append(_trusted_word(word[pos:end]))
-        if end >= len(word) or word[end] != "U":
-            raise InvalidPathError(f"expected separator U at index {end}")
         pos = end + 1
-    if word[pos:] != "D" * k + "L":
-        raise InvalidPathError(f"expected final D^{k}L at index {pos}")
     return BoxDecomposition(k, tuple(parts))
 
 
 def compose_box(dec: BoxDecomposition) -> PathWord:
-    """Reassemble mu_1 U mu_2 U ... mu_(k+1) U D^k L from decomposition parts."""
+    """Reassemble mu_1 U mu_2 U ... mu_(k+1) U D^k L from decomposition
+    parts; each part is checked block by block, the word with classify."""
     k = dec.k
     if k == 0:
         path = _trusted_word(_strip_augmented(dec.parts[0].word, 1))
-        _require_box(path, 0)
+        _check_box(path, 0)
         return path
     for part in dec.parts:
         _strip_augmented(part.word, k + 1)
     path = _trusted_word("".join(p.word + "U" for p in dec.parts) + "D" * k + "L")
-    _require_box(path, k)
+    _check_box(path, k)
     return path
 
 
@@ -285,16 +280,19 @@ def invert_return_injection(path: PathWord, k: int) -> PathWord | NotInvertible:
     """
     _require_box(path, k)
     word = path.word
-    h = _heights(word)
-    pos = next((i for i in range(len(word))
-                if word[i] != "U" and h[i + 1] == 1), None)
-    if pos is None:
+    height = 0
+    for pos, ch in enumerate(word):
+        height += 1 if ch == "U" else -1
+        if height == 1 and ch != "U":
+            break
+    else:
         return NotInvertible("no return to y=1")
     candidate = PathWord(word[1:pos + 1] + "U" + word[pos + 1:])
-    cls = classify(candidate, k)
-    if cls.box_size is None:
-        return NotInvertible(
-            f"first return to y=1 at index {pos} is mid-factor: {cls.reason}")
+    try:
+        box_ascents(candidate, k)
+    except ValueError:
+        return NotInvertible(f"first return to y=1 at index {pos} is "
+                             f"mid-factor: {classify(candidate, k).reason}")
     if return_injection(candidate, k) != path:
         return NotInvertible("reinserted word does not map back")
     return candidate

@@ -77,19 +77,26 @@ def cmd_enumerate(args) -> int:
             raise ValueError("compositions only apply to --family box")
         if args.n < 0:
             raise ValueError("--n must be >= 0")
-        for p in paths.generate_skew_dyck(args.n):
-            print(p.word)
+        _write_lines(p.word for p in paths.generate_skew_dyck(args.n))
         return 0
     if args.k is None:
         raise ValueError("--family box needs --k")
     if args.format == "compositions":
         # for k = 0 these are the virtual ascent tuples
-        for parts in paths.generate_box_ascents(args.k, args.n):
-            print(",".join(str(a) for a in parts))
+        _write_lines(",".join(map(str, parts))
+                     for parts in paths.generate_box_ascents(args.k, args.n))
         return 0
-    for p in paths.generate_k_box(args.k, args.n):
-        print(p.word)
+    _write_lines(p.word for p in paths.generate_k_box(args.k, args.n))
     return 0
+
+
+def _write_lines(lines) -> None:
+    """Write each string, then a newline, to stdout: cheaper per line than
+    print, and no line is copied to join it with its newline."""
+    write = sys.stdout.write
+    for line in lines:
+        write(line)
+        write("\n")
 
 
 def _biject_forward(path: paths.PathWord, to: str, k: int) -> str:

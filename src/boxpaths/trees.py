@@ -232,13 +232,19 @@ class KtDyckPath:
             elif ch == "D":
                 height -= k
                 if height < floor:
+                    name, floor_name = self._names()
                     raise InvalidPathError(
-                        f"path dips below y=-{self.t} at index {i}")
+                        f"{name} dips below {floor_name} at index {i}")
             else:
                 raise InvalidPathError(
                     f"unexpected character {ch!r} at index {i}")
         if height != 0:
-            raise InvalidPathError(f"path ends at height {height}, not 0")
+            raise InvalidPathError(
+                f"{self._names()[0]} ends at height {height}, not 0")
+
+    def _names(self) -> tuple[str, str]:
+        """The path's and the floor's names in a rejection message."""
+        return "path", f"y=-{self.t}"
 
     @property
     def size(self) -> int:
@@ -253,6 +259,9 @@ class KDyckPath(KtDyckPath):
     """A k-Dyck path: the t = 0 case, staying >= 0 and ending at 0."""
 
     t: int = field(default=0, init=False, repr=False)
+
+    def _names(self) -> tuple[str, str]:
+        return f"{self.k}-Dyck path", "the x-axis"
 
 
 def tree_to_kdyck(tree: KAryTree) -> KDyckPath:

@@ -171,6 +171,42 @@ def test_all_maps_roundtrip_at_size_10000(k):
         assert compose_box(decompose_box(p, k)) == p
 
 
+def _reference_decompose(word, k):
+    """The parts by the letter-by-letter walk decompose_box used before
+    it cut at block ends: the part at level i ends at the penultimate
+    return to height i, or is empty when that return comes before it."""
+    if k == 0:
+        return [word.replace("D", "ULD")]
+    last = [-1] * (k + 1)
+    penultimate = [-1] * (k + 1)
+    height = 0
+    for i, ch in enumerate(word):
+        if ch == "U":
+            height += 1
+            continue
+        height -= 1
+        if height <= k:
+            penultimate[height] = last[height]
+            last[height] = i
+    parts = []
+    pos = 0
+    for level in range(k + 1):
+        end = max(pos, penultimate[level] + 1)
+        parts.append(word[pos:end])
+        assert word[end] == "U"
+        pos = end + 1
+    assert word[pos:] == "D" * k + "L"
+    return parts
+
+
+def test_decompose_matches_the_height_walk():
+    for k in range(4):
+        paths = [p for n in range(1, 7) for p in generate_k_box(k, n)]
+        for p in paths + shaped_paths(k, 10**4):
+            parts = [q.word for q in decompose_box(p, k).parts]
+            assert parts == _reference_decompose(p.word, k), (p.word[:40], k)
+
+
 def test_built_words_equal_validated_words():
     # these maps build their words without validating them again
     for k in range(3):

@@ -27,6 +27,7 @@ from boxpaths import (
     path_of_composition,
     stats,
 )
+from boxpaths.bijections import _require_box
 from boxpaths.paths import _block_ascents, generate_box_ascents
 from boxpaths.trees import _strip_augmented
 
@@ -264,6 +265,47 @@ def test_block_scanner_matches_the_loops_it_replaced():
                 assert stripped == _reference_strip_augmented(word, k)
     # a k-box path of size n has length 2(k+2)n - 2
     assert accepted == {1: count_box(1, 1) + count_box(1, 2), 2: 1, 3: 1, 4: 1}
+
+
+def _reference_require_box(path, k):
+    """The old classify-based body of bijections._require_box: the box
+    size, or the message it raised."""
+    cls = classify(path, k)
+    if cls.box_size is None:
+        return f"not a {k}-box path: {cls.reason or 'wrong shape'}"
+    return cls.box_size
+
+
+def test_box_ascents_accepts_what_classify_accepts():
+    # _require_box returns box_ascents' tuple and raises only where
+    # box_ascents does, so this checks both against the old body
+    words = [PathWord("".join(letters))
+             for length in range(11)
+             for letters in itertools.product("UDL", repeat=length)]
+    words += [p for m in range(9) for p in generate_skew_dyck(m)]
+    accepted = 0
+    for path in words:
+        skew = classify(path)
+        for k in range(5):
+            # classify rejects a word that is not skew before it reads k
+            want = (_reference_require_box(path, k) if skew.skew_dyck
+                    else f"not a {k}-box path: {skew.reason}")
+            try:
+                parts = _require_box(path, k)
+            except InvalidPathError as exc:
+                assert str(exc) == want, (path.word, k)
+            else:
+                assert len(parts) == want, (path.word, k)
+                accepted += 1
+    # a k-box path of size n has semilength (k+2)n - 1; the 0-box paths
+    # are the Dyck paths of semilength n - 1
+    expected = sum(catalan(m) for m in range(6)) + sum(catalan(m) for m in range(9))
+    for k in range(1, 5):
+        expected += sum(count_box(k, n) for n in range(1, 5)
+                        if (k + 2) * n - 1 <= 5)
+        expected += sum(count_box(k, n) for n in range(1, 5)
+                        if (k + 2) * n - 1 <= 8)
+    assert accepted == expected
 
 
 def test_generate_skew_dyck_counts():

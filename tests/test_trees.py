@@ -92,10 +92,12 @@ def test_single_node_encodings():
 
 def test_kdyck_path_validation():
     assert KDyckPath(2, "UUD").size == 1
-    with pytest.raises(ValueError):
-        KDyckPath(2, "UDD")  # dips below zero
-    with pytest.raises(ValueError):
-        KDyckPath(2, "UUDU")  # does not end at zero
+    with pytest.raises(ValueError,
+                       match=r"^2-Dyck path dips below the x-axis at index 1$"):
+        KDyckPath(2, "UDD")
+    with pytest.raises(ValueError,
+                       match=r"^2-Dyck path ends at height 1, not 0$"):
+        KDyckPath(2, "UUDU")
     with pytest.raises(ValueError):
         KDyckPath(2, "UUDL")  # alphabet is U/D only
     with pytest.raises(ValueError):
@@ -104,6 +106,13 @@ def test_kdyck_path_validation():
     path = KDyckPath(2, "UUD")
     assert path.t == 0 and isinstance(path, KtDyckPath)
     assert bijections.KtDyckPath is trees.KtDyckPath is KtDyckPath
+    # the k_t-Dyck wording stays, at t = 0 too
+    with pytest.raises(ValueError, match=r"^path dips below y=-0 at index 1$"):
+        KtDyckPath(2, 0, "UDD")
+    with pytest.raises(ValueError, match=r"^path dips below y=-1 at index 2$"):
+        KtDyckPath(2, 1, "UDD")
+    with pytest.raises(ValueError, match=r"^path ends at height 1, not 0$"):
+        KtDyckPath(2, 1, "UUDU")
 
 
 def test_tree_kdyck_roundtrip():
