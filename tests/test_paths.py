@@ -267,36 +267,31 @@ def test_block_scanner_matches_the_loops_it_replaced():
     assert accepted == {1: count_box(1, 1) + count_box(1, 2), 2: 1, 3: 1, 4: 1}
 
 
-def _reference_require_box(path, k):
-    """The old classify-based body of bijections._require_box: the box
-    size, or the message it raised."""
-    cls = classify(path, k)
-    if cls.box_size is None:
-        return f"not a {k}-box path: {cls.reason or 'wrong shape'}"
-    return cls.box_size
+def _short_and_skew_words(length):
+    """Every word over {U, D, L} of at most `length` letters, then every
+    skew Dyck path of semilength at most 8."""
+    words = [PathWord("".join(letters))
+             for n in range(length + 1)
+             for letters in itertools.product("UDL", repeat=n)]
+    return words + [p for m in range(9) for p in generate_skew_dyck(m)]
 
 
 def test_box_ascents_accepts_what_classify_accepts():
-    # _require_box returns box_ascents' tuple and raises only where
-    # box_ascents does, so this checks both against the old body
-    words = [PathWord("".join(letters))
-             for length in range(11)
-             for letters in itertools.product("UDL", repeat=length)]
-    words += [p for m in range(9) for p in generate_skew_dyck(m)]
     accepted = 0
-    for path in words:
-        skew = classify(path)
+    wrong = []
+    for path in _short_and_skew_words(10):
+        skew = classify(path).skew_dyck
         for k in range(5):
             # classify rejects a word that is not skew before it reads k
-            want = (_reference_require_box(path, k) if skew.skew_dyck
-                    else f"not a {k}-box path: {skew.reason}")
+            want = classify(path, k).box_size if skew else None
             try:
-                parts = _require_box(path, k)
-            except InvalidPathError as exc:
-                assert str(exc) == want, (path.word, k)
-            else:
-                assert len(parts) == want, (path.word, k)
+                got = len(box_ascents(path, k))
                 accepted += 1
+            except ValueError:
+                got = None
+            if got != want:
+                wrong.append((path.word, k, got, want))
+    assert wrong == []
     # a k-box path of size n has semilength (k+2)n - 1; the 0-box paths
     # are the Dyck paths of semilength n - 1
     expected = sum(catalan(m) for m in range(6)) + sum(catalan(m) for m in range(9))
@@ -306,6 +301,32 @@ def test_box_ascents_accepts_what_classify_accepts():
         expected += sum(count_box(k, n) for n in range(1, 5)
                         if (k + 2) * n - 1 <= 8)
     assert accepted == expected
+
+
+def _reference_require_box(path, k):
+    """The old classify-based body of bijections._require_box: the box
+    size, or the message it raised."""
+    cls = classify(path, k)
+    if cls.box_size is None:
+        return f"not a {k}-box path: {cls.reason or 'wrong shape'}"
+    return cls.box_size
+
+
+def test_require_box_rejects_with_the_classify_message():
+    wrong = []
+    for path in _short_and_skew_words(8):
+        for k in range(-1, 5):
+            try:
+                got = len(_require_box(path, k))
+            except ValueError as exc:
+                got = str(exc)
+            try:
+                want = _reference_require_box(path, k)
+            except ValueError as exc:
+                want = str(exc)
+            if got != want:
+                wrong.append((path.word, k, got, want))
+    assert wrong == []
 
 
 def test_generate_skew_dyck_counts():
