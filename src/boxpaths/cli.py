@@ -8,13 +8,14 @@ cross-checking harness) and bfile (OEIS-style "index value" listings).
 All data goes to stdout and diagnostics to stderr; output is a pure
 function of the flags, apart from the wall times that verify --format
 json reports.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.
+error or closed output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bijections, counting, paths, series, trees, verify
@@ -276,6 +277,13 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout; point it at the null device so that
+        # the flush at exit stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 

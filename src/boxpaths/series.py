@@ -158,12 +158,6 @@ class BiSeries:
                 rows[j][n] = quotient
         return BiSeries(T, X, tuple(tuple(r) for r in rows))
 
-    def truncated(self, t_order: int, x_order: int) -> "BiSeries":
-        """Re-truncate (or zero-pad) to new orders."""
-        return BiSeries(t_order, x_order, tuple(
-            tuple(self.coefficient(j, n) for n in range(x_order + 1))
-            for j in range(t_order + 1)))
-
 
 def _t(T: int, X: int) -> BiSeries:
     return BiSeries.build(T, X, [(1, 0, 1)])

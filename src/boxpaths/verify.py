@@ -19,6 +19,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from . import bijections, counting, paths, series, trees
@@ -500,6 +501,11 @@ def _box_generator(ctx: _Ctx):
     return f"k<={ctx.max_k}, n<={ctx.max_n}", cases, bad
 
 
+def _skew_words(m: int) -> Iterator[str]:
+    # the words of the skew paths of semilength m, read in C
+    return map(attrgetter("word"), paths.generate_skew_dyck(m))
+
+
 @_register("bijections", "family-minimality")
 def _family_minimality(ctx: _Ctx):
     # below semilength (k+2)n - 1 no skew path carries n U D^k L-factors,
@@ -513,20 +519,15 @@ def _family_minimality(ctx: _Ctx):
             m_box = (k + 2) * n - 1
             for m in range(1, m_box):
                 hit = next(
-                    (p for p in paths.generate_skew_dyck(m)
-                     if p.word.count(factor) == n),
+                    (w for w in _skew_words(m) if w.count(factor) == n),
                     None,
                 )
                 if hit is not None:
                     bad.append(
-                        f"{hit.word} has {n} {factor}-factors at semilength {m} "
+                        f"{hit} has {n} {factor}-factors at semilength {m} "
                         f"< {m_box}; replay: boxpaths enumerate --family skew --n {m}"
                     )
-            at_bound = {
-                p.word
-                for p in paths.generate_skew_dyck(m_box)
-                if p.word.count(factor) == n
-            }
+            at_bound = {w for w in _skew_words(m_box) if w.count(factor) == n}
             if at_bound != {p.word for p in ctx.box(k, n)}:
                 bad.append(
                     f"carriers at semilength {m_box} differ from the box family "

@@ -6,11 +6,15 @@ tables and b-files live under tests/fixtures/.
 """
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import boxpaths
 from boxpaths import counting
 from boxpaths.cli import main
 from boxpaths.paths import (
@@ -163,6 +167,27 @@ def test_enumerate_usage_errors(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "enumerate", "--family", "box", "--n", "2")
     assert code == 2 and err.startswith("error:")
+
+
+def test_enumerate_into_a_closed_pipe_exits_2_quietly():
+    # 21 318 lines, far more than a pipe holds, so the writes meet the close
+    src = str(Path(boxpaths.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "boxpaths", "enumerate", "--family", "box",
+         "--k", "1", "--n", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"UUUUUUUUUUUUUUUUDLDUDLDUDLDUDLDUDLDUDLDUDLDUDL\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (2, b"")
 
 
 def test_biject_threshold_of_composition(capsys):

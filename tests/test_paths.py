@@ -28,7 +28,14 @@ from boxpaths import (
     stats,
 )
 from boxpaths.bijections import _require_box
-from boxpaths.paths import _block_ascents, generate_box_ascents
+from boxpaths.paths import (
+    _TAIL_STEPS,
+    _block_ascents,
+    _skew_moves,
+    _skew_tails,
+    _trusted_word,
+    generate_box_ascents,
+)
 from boxpaths.trees import _strip_augmented
 
 # skew Dyck path counts by semilength 0..11 (OEIS A002212)
@@ -346,6 +353,32 @@ def test_generate_skew_dyck_streams():
         tracemalloc.stop()
     assert count == SKEW_COUNTS[11]
     assert peak < 2 * 2**20
+
+
+# the skew generator's body before it built its words in batches, one
+# generator resume and one _trusted_word call per word; kept as the reference
+def _reference_skew_words(semilength, allow_left):
+    tails = _skew_tails(allow_left)
+    stack = [("", semilength, semilength, "D")]
+    while stack:
+        prefix, u, d, prev = stack.pop()
+        if u + d <= _TAIL_STEPS:
+            for tail in tails[(u, d, prev)]:
+                yield _trusted_word(prefix + tail)
+            continue
+        for step, u2, d2 in reversed(_skew_moves(u, d, prev, allow_left)):
+            stack.append((prefix + step, u2, d2, step))
+
+
+def test_generate_skew_dyck_matches_the_per_word_generator():
+    for allow_left in (True, False):
+        for m in range(10):
+            got = list(generate_skew_dyck(m, allow_left))
+            assert got == list(_reference_skew_words(m, allow_left))
+            for p in got:
+                assert type(p) is PathWord and p == PathWord(p.word)
+    with pytest.raises(ValueError):
+        generate_skew_dyck(-1)
 
 
 def test_generate_skew_dyck_semilength_two():
