@@ -165,9 +165,14 @@ def tree_tuple_to_box(tup: TreeTuple, k: int) -> PathWord:
     for tree in tup.trees:
         if tree.arity != k + 2:
             raise ValueError(f"expected arity {k + 2}, got {tree.arity}")
-    parts = tuple(_trusted_word(_augment(tree_to_kdyck(t).word, k + 1))
-                  for t in tup.trees)
-    return compose_box(BoxDecomposition(k, parts))
+    words = [_augment(tree_to_kdyck(t).word, k + 1) for t in tup.trees]
+    if k == 0:
+        return compose_box(BoxDecomposition(0, (_trusted_word(words[0]),)))
+    # each part is an augmented word of a KDyckPath, which checked it: join
+    # them as compose_box does and check the word once
+    path = _trusted_word("".join(w + "U" for w in words) + "D" * k + "L")
+    _check_box(path, k)
+    return path
 
 
 def box_to_dyck_prefix(path: PathWord, k: int) -> str:
@@ -184,10 +189,7 @@ def box_to_kt_dyck(path: PathWord, k: int) -> KtDyckPath:
     shifts the leading k up-steps away; for k = 0 this is the identity on
     the underlying Dyck word.
     """
-    a = box_ascents(path, k)
-    word = ("U" * (a[0] - 1 - k)
-            + "".join("D" + "U" * (x - 1) for x in a[1:]))
-    return KtDyckPath(k + 1, k, word)
+    return KtDyckPath(k + 1, k, box_to_dyck_prefix(path, k)[k:])
 
 
 def kt_dyck_to_box(path: KtDyckPath) -> PathWord:

@@ -20,15 +20,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain, repeat
 from typing import Iterator
-
-
-class Step(str, Enum):
-    UP = "U"
-    DOWN = "D"
-    LEFT = "L"
 
 
 _ALPHABET = frozenset("UDL")
@@ -46,20 +39,19 @@ class InvalidPathError(ValueError):
     """The word is structurally invalid for the requested operation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathWord:
     """A word over {U, D, L}; carries no validity promise beyond its alphabet."""
 
     word: str
 
     def __post_init__(self) -> None:
+        if _ALPHABET.issuperset(self.word):
+            return
+        # the set test is at C speed; the loop only names the first bad index
         for i, ch in enumerate(self.word):
             if ch not in _ALPHABET:
                 raise ParseError(f"unexpected character {ch!r}", i)
-
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        return tuple(Step(ch) for ch in self.word)
 
     @property
     def semilength(self) -> int:
@@ -118,7 +110,32 @@ class PathClass:
         return "Dyck" if self.dyck else "SkewDyck"
 
 
+def _skew_returns(word: str) -> int | None:
+    """The returns of a skew Dyck path, or None if word is not one.
+
+    The factors are found with `in`; the loop walks the heights only.  A
+    return is a step down to height 0, and no U ends at height 0.
+    """
+    if "UL" in word or "LU" in word:
+        return None
+    height = returns = 0
+    for ch in word:
+        if ch == "U":
+            height += 1
+        else:
+            height -= 1
+            if height <= 0:
+                if height:
+                    return None
+                returns += 1
+    return returns if height == 0 else None
+
+
 def _scan_skew(word: str) -> tuple[bool, str | None]:
+    """(True, None) for a skew Dyck path, else False and its first defect."""
+    if _skew_returns(word) is not None:
+        return True, None
+    # a rejection only: find the first defect letter by letter
     height = 0
     for i, ch in enumerate(word):
         if ch == "U":
@@ -131,14 +148,29 @@ def _scan_skew(word: str) -> tuple[bool, str | None]:
             height -= 1
             if height < 0:
                 return False, f"path dips below the x-axis at index {i}"
-    if height != 0:
-        return False, f"path ends at height {height}, not 0"
-    return True, None
+    return False, f"path ends at height {height}, not 0"
 
 
 def classify(path: PathWord, k: int | None = None) -> PathClass:
-    """Classify a word within the skew Dyck hierarchy, for parameter k if given."""
+    """Classify a word within the skew Dyck hierarchy, for parameter k if given.
+
+    For k >= 1 a word is first tried against the template
+    U^a1 D^k L D ... U^an D^k L of box_ascents.  A word of that shape whose
+    ascents meet the bounds of _check_ascents is a k-box path of size n:
+    every U-run is followed by D and every L by D or the end, so it has no
+    UL or LU; each block's lowest point is its end, at height
+    a_1 + ... + a_i - (k+2)i >= 0, and the last block ends at 0; and a
+    factor U D^k L can start only where a U-run ends, so there are exactly
+    n of them, with semilength a_1 + ... + a_n = (k+2)n - 1.  Any other
+    word takes the definitional route: the skew scan, then the factor count.
+    """
     word = path.word
+    if k is not None and k >= 1:
+        parts = _box_template(word, k)
+        if isinstance(parts, tuple) and _ascent_defect(k, parts) is None:
+            return PathClass(True, None, False, len(word) // 2, k=k,
+                             box_size=len(parts),
+                             tailed=word.endswith("U" * (k + 1) + "D" * k + "L"))
     ok, reason = _scan_skew(word)
     if not ok:
         return PathClass(False, reason, False, None, k=k)
@@ -188,30 +220,17 @@ def _block_ascents(word: str, tail: str) -> tuple[int, ...] | int:
 
 
 def stats(path: PathWord) -> PathStats:
-    """Semilength, returns, ascents and long ascents of a skew Dyck path."""
-    ok, reason = _scan_skew(path.word)
-    if not ok:
-        raise InvalidPathError(f"not a skew Dyck path: {reason}")
-    height = 0
-    returns = 0
-    ascents = 0
-    long_ascents = 0
-    run = 0
-    for ch in path.word:
-        if ch == "U":
-            height += 1
-            run += 1
-        else:
-            if run:
-                ascents += 1
-                if run >= 2:
-                    long_ascents += 1
-                run = 0
-            height -= 1
-            if height == 0:
-                returns += 1
-    return PathStats(path.semilength, returns, ascents, long_ascents,
-                     _word=path.word)
+    """Semilength, returns, ascents and long ascents of a skew Dyck path.
+
+    One walk finds the returns; the rest are counts at C speed, since in a
+    skew Dyck path every ascent ends in D (no UL, and no path ends in U).
+    """
+    word = path.word
+    returns = _skew_returns(word)
+    if returns is None:
+        raise InvalidPathError(f"not a skew Dyck path: {_scan_skew(word)[1]}")
+    return PathStats(word.count("U"), returns, word.count("UD"),
+                     word.count("UUD"), _word=word)
 
 
 @dataclass(frozen=True)
@@ -238,21 +257,28 @@ def _check_ascents(k: int, parts: tuple[int, ...]) -> None:
     """Reject parts unless each is positive, they sum to (k+2)n - 1 and
     a_1 + ... + a_i >= (k+2)i for i < n: the ascents of a k-box path, or
     at k = 0 a virtual tuple (whose last part these bounds force to 1)."""
+    defect = _ascent_defect(k, parts)
+    if defect is not None:
+        raise ValueError(defect)
+
+
+def _ascent_defect(k: int, parts: tuple[int, ...]) -> str | None:
+    """What _check_ascents rejects parts for, or None if it accepts them."""
     n = len(parts)
     if n == 0:
-        raise ValueError("composition must have at least one part")
+        return "composition must have at least one part"
     if min(parts) < 1:
         i, a = next((i, a) for i, a in enumerate(parts) if a < 1)
-        raise ValueError(f"part at index {i} is {a}, must be positive")
+        return f"part at index {i} is {a}, must be positive"
     total = (k + 2) * n - 1
     if sum(parts) != total:
-        raise ValueError(f"parts sum to {sum(parts)}, expected {total}")
+        return f"parts sum to {sum(parts)}, expected {total}"
     s = 0
     for i, a in enumerate(parts[:-1]):
         s += a
         if s < (k + 2) * (i + 1):
-            raise ValueError(
-                f"prefix sum {s} at index {i} is below {(k + 2) * (i + 1)}")
+            return f"prefix sum {s} at index {i} is below {(k + 2) * (i + 1)}"
+    return None
 
 
 def parse_composition(text: str, k: int) -> Composition:
@@ -281,15 +307,21 @@ def box_ascents(path: PathWord, k: int) -> tuple[int, ...]:
         # the U-runs before each D, then the empty run after the last
         return tuple(len(run) + 1 for run in path.word.split("D"))
     word = path.word
-    # with one more D the last block reads U^a D^k L D like the others; the
-    # empty word has no blocks, which _check_ascents rejects
-    parts = _block_ascents(word + "D", "D" * k + "LD") if word else ()
+    parts = _box_template(word, k)
     if isinstance(parts, int):
         # an index past the word is the appended D: name the last letter
         raise InvalidPathError(f"not a {k}-box path: malformed block at "
                                f"index {min(parts, len(word) - 1)}")
     _check_ascents(k, parts)
     return parts
+
+
+def _box_template(word: str, k: int) -> tuple[int, ...] | int:
+    """The ascents of word = U^a1 D^k L D ... U^an D^k L (k >= 1), or else
+    _block_ascents' index into word + "D"; no bounds are checked."""
+    # with one more D the last block reads U^a D^k L D like the others; the
+    # empty word has no blocks, which _check_ascents rejects
+    return _block_ascents(word + "D", "D" * k + "LD") if word else ()
 
 
 def composition_of(path: PathWord, k: int) -> Composition:
@@ -330,7 +362,7 @@ def _trusted_word(word: str) -> PathWord:
     caller validates.
     """
     path = object.__new__(PathWord)
-    object.__setattr__(path, "word", word)
+    PathWord.word.__set__(path, word)
     return path
 
 
@@ -400,10 +432,10 @@ def _skew_batches(semilength: int, allow_left: bool) -> Iterator[list[PathWord]]
         prefix, u, d, prev = stack.pop()
         if u + d <= _TAIL_STEPS:
             # _trusted_word over the whole batch at C speed, with no Python
-            # call per word; the empty deque drains the setattr calls
+            # call per word; the empty deque drains the slot's set calls
             batch = tails[(u, d, prev)]
             words = list(map(object.__new__, repeat(PathWord, len(batch))))
-            deque(map(object.__setattr__, words, repeat("word"),
+            deque(map(PathWord.word.__set__, words,
                       map(prefix.__add__, batch)), 0)
             yield words
             continue

@@ -1,6 +1,7 @@
 """Path words, classification, compositions and the exhaustive generators."""
 
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -11,6 +12,8 @@ from boxpaths import (
     Composition,
     InvalidPathError,
     ParseError,
+    PathClass,
+    PathStats,
     PathWord,
     box_ascents,
     box_long_ascent_count,
@@ -31,6 +34,7 @@ from boxpaths.bijections import _require_box
 from boxpaths.paths import (
     _TAIL_STEPS,
     _block_ascents,
+    _scan_skew,
     _skew_moves,
     _skew_tails,
     _trusted_word,
@@ -283,14 +287,153 @@ def _short_and_skew_words(length):
     return words + [p for m in range(9) for p in generate_skew_dyck(m)]
 
 
+# classify's definitional body from before it tried the box template
+# first, with the letter-by-letter skew scan and stats of the same time;
+# kept as the references
+def _reference_scan_skew(word):
+    height = 0
+    for i, ch in enumerate(word):
+        if ch == "U":
+            if i > 0 and word[i - 1] == "L":
+                return False, f"forbidden factor LU at index {i - 1}"
+            height += 1
+        else:
+            if ch == "L" and i > 0 and word[i - 1] == "U":
+                return False, f"forbidden factor UL at index {i - 1}"
+            height -= 1
+            if height < 0:
+                return False, f"path dips below the x-axis at index {i}"
+    if height != 0:
+        return False, f"path ends at height {height}, not 0"
+    return True, None
+
+
+def _reference_classify(path, k=None):
+    word = path.word
+    ok, reason = _reference_scan_skew(word)
+    if not ok:
+        return PathClass(False, reason, False, None, k=k)
+    dyck = "L" not in word
+    semilength = path.semilength
+    cls = PathClass(True, None, dyck, semilength, k=k)
+    if k is None:
+        return cls
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        if dyck:
+            return PathClass(True, None, True, semilength, k=0,
+                             box_size=semilength + 1, tailed=True)
+        return cls
+    n = path.word.count("U" + "D" * k + "L")
+    if n >= 1 and semilength == (k + 2) * n - 1:
+        tail = "U" * (k + 1) + "D" * k + "L"
+        return PathClass(True, None, dyck, semilength, k=k, box_size=n,
+                         tailed=word.endswith(tail))
+    if k >= 2:
+        blocks = _reference_augmented_block_count(word, k)
+        if blocks is not None:
+            return PathClass(True, None, dyck, semilength, k=k,
+                             augmented_size=blocks)
+    return cls
+
+
+def _reference_stats(path):
+    """PathStats' fields as a tuple, or the InvalidPathError text."""
+    ok, reason = _reference_scan_skew(path.word)
+    if not ok:
+        return f"not a skew Dyck path: {reason}"
+    height = 0
+    returns = 0
+    ascents = 0
+    long_ascents = 0
+    run = 0
+    for ch in path.word:
+        if ch == "U":
+            height += 1
+            run += 1
+        else:
+            if run:
+                ascents += 1
+                if run >= 2:
+                    long_ascents += 1
+                run = 0
+            height -= 1
+            if height == 0:
+                returns += 1
+    return path.semilength, returns, ascents, long_ascents
+
+
+def _stats_or_message(path):
+    try:
+        s = stats(path)
+    except InvalidPathError as exc:
+        return str(exc)
+    assert s == PathStats(*_reference_stats(path), _word=path.word)
+    return s.semilength, s.returns, s.ascents, s.long_ascents
+
+
+def _shaped_box_paths(k, n):
+    """The tall and the flat k-box path of size n (k >= 1): ascents
+    ((k+1)n, 1, ..., 1) and (k+2, ..., k+2, k+1)."""
+    tall = ((k + 1) * n,) + (1,) * (n - 1)
+    flat = (k + 2,) * (n - 1) + (k + 1,)
+    return [path_of_composition(Composition(k, parts)) for parts in (tall, flat)]
+
+
+CLASSIFY_KS = (None, 0, 1, 2, 3, 4)
+
+
+def test_classify_matches_the_definitional_body():
+    words = _short_and_skew_words(10)
+    words += [p for k in (1, 2) for p in _shaped_box_paths(k, 10**4)]
+    wrong = [(path.word[:40], k)
+             for path in words for k in CLASSIFY_KS
+             if classify(path, k) != _reference_classify(path, k)]
+    assert wrong == []
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        classify(PathWord("UUDL"), -1)
+    # a word that is not skew is classified before k is read
+    assert classify(PathWord("UL"), -1) == _reference_classify(PathWord("UL"), -1)
+
+
+def _one_letter_changes(word):
+    """Every word that differs from word in one letter near its start, its
+    middle or its end."""
+    for i in (0, 1, 2, 3, len(word) // 2, len(word) // 2 + 1,
+              len(word) - 3, len(word) - 2, len(word) - 1):
+        for ch in "UDL".replace(word[i], ""):
+            yield word[:i] + ch + word[i + 1:]
+
+
+def test_scan_and_stats_match_the_letter_by_letter_bodies():
+    for path in _short_and_skew_words(10):
+        assert _scan_skew(path.word) == _reference_scan_skew(path.word)
+        assert _stats_or_message(path) == _reference_stats(path)
+    messages = set()
+    for base in _shaped_box_paths(1, 10**4) + _shaped_box_paths(2, 10**4):
+        assert _stats_or_message(base) == _reference_stats(base)
+        for word in _one_letter_changes(base.word):
+            path = PathWord(word)
+            got = _scan_skew(word)
+            assert got == _reference_scan_skew(word)
+            assert _stats_or_message(path) == _reference_stats(path)
+            if not got[0]:
+                messages.add(re.sub(r"-?\d+", "#", got[1]))
+    assert messages == {"forbidden factor LU at index #",
+                        "forbidden factor UL at index #",
+                        "path dips below the x-axis at index #",
+                        "path ends at height #, not #"}
+
+
 def test_box_ascents_accepts_what_classify_accepts():
     accepted = 0
     wrong = []
     for path in _short_and_skew_words(10):
-        skew = classify(path).skew_dyck
+        skew = _reference_classify(path).skew_dyck
         for k in range(5):
             # classify rejects a word that is not skew before it reads k
-            want = classify(path, k).box_size if skew else None
+            want = _reference_classify(path, k).box_size if skew else None
             try:
                 got = len(box_ascents(path, k))
                 accepted += 1
