@@ -13,7 +13,6 @@ from boxpaths import (
     InvalidPathError,
     ParseError,
     PathClass,
-    PathStats,
     PathWord,
     box_ascents,
     box_long_ascent_count,
@@ -287,9 +286,9 @@ def _short_and_skew_words(length):
     return words + [p for m in range(9) for p in generate_skew_dyck(m)]
 
 
-# classify's definitional body from before it tried the box template
-# first, with the letter-by-letter skew scan and stats of the same time;
-# kept as the references
+# classify, _scan_skew and stats as they were before classify tried the
+# box template first and the scan walked the heights only; kept as the
+# references (the augmented test through the old loop above)
 def _reference_scan_skew(word):
     height = 0
     for i, ch in enumerate(word):
@@ -369,7 +368,6 @@ def _stats_or_message(path):
         s = stats(path)
     except InvalidPathError as exc:
         return str(exc)
-    assert s == PathStats(*_reference_stats(path), _word=path.word)
     return s.semilength, s.returns, s.ascents, s.long_ascents
 
 
@@ -381,14 +379,11 @@ def _shaped_box_paths(k, n):
     return [path_of_composition(Composition(k, parts)) for parts in (tall, flat)]
 
 
-CLASSIFY_KS = (None, 0, 1, 2, 3, 4)
-
-
 def test_classify_matches_the_definitional_body():
     words = _short_and_skew_words(10)
     words += [p for k in (1, 2) for p in _shaped_box_paths(k, 10**4)]
     wrong = [(path.word[:40], k)
-             for path in words for k in CLASSIFY_KS
+             for path in words for k in (None, 0, 1, 2, 3, 4)
              if classify(path, k) != _reference_classify(path, k)]
     assert wrong == []
     with pytest.raises(ValueError, match="k must be >= 0"):
