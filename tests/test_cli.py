@@ -290,6 +290,20 @@ def test_verify_small_suite_passes(capsys):
     assert lines[-1].endswith("checks passed")
 
 
+@pytest.mark.parametrize(
+    "fixture, argv",
+    [
+        ("verify_default.txt", ()),
+        ("verify_k3_n5.txt", ("--max-k", "3", "--max-n", "5")),
+    ],
+)
+def test_verify_passing_output_matches_golden_files(capsys, fixture, argv):
+    # the PASS lines with their params and case counts, and the summary
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / fixture).read_text()
+
+
 def test_verify_series_diagonal_depth(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "series", "--max-n", "5")
     assert code == 0
