@@ -14,11 +14,32 @@ error or closed output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from . import bijections, counting, paths, series, trees, verify
+
+
+def _exact_output(cmd):
+    """Run cmd with Python's limit on int-to-str conversion lifted: the
+    integers it prints are its own exact results, however long.  Its
+    integer flags were parsed before, under the default limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return cmd
+
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return cmd(args)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return run
+
 
 def _stat_fn(stat: str):
     if stat == "returns":
@@ -43,6 +64,7 @@ def format_table(values: list[list[int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_exact_output
 def cmd_count(args) -> int:
     if args.stat is None:
         if args.j is not None:
@@ -58,6 +80,7 @@ def cmd_count(args) -> int:
     return 0
 
 
+@_exact_output
 def cmd_table(args) -> int:
     fn = _stat_fn(args.stat)
     if args.rows < 1:
@@ -141,6 +164,7 @@ def cmd_biject(args) -> int:
     return 0
 
 
+@_exact_output
 def cmd_verify(args) -> int:
     report = verify.run_suite(args.suite, args.max_k, args.max_n)
     if args.format == "json":
@@ -199,6 +223,7 @@ _BFILE = {
 BFILE_SEQUENCES = tuple(_BFILE)
 
 
+@_exact_output
 def cmd_bfile(args) -> int:
     if args.count < 0:
         raise ValueError("--count must be >= 0")

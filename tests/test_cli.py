@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import boxpaths
-from boxpaths import counting
+from boxpaths import bijections, counting, paths
 from boxpaths.cli import main
 from boxpaths.paths import (
     PathWord,
@@ -302,6 +302,54 @@ def test_verify_passing_output_matches_golden_files(capsys, fixture, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert (code, err) == (0, "")
     assert out == (FIXTURES / fixture).read_text()
+
+
+@pytest.mark.parametrize("error", [paths.InvalidPathError, KeyError])
+def test_verify_reports_a_raising_check_as_a_failure(capsys, monkeypatch, error):
+    # one path makes the map raise: that check goes red, the others still run
+    real = bijections.box_to_kt_dyck
+    victim = next(iter(generate_k_box(1, 2)))
+
+    def raising(path, k):
+        if path == victim:
+            raise error("boom")
+        return real(path, k)
+
+    monkeypatch.setattr(bijections, "box_to_kt_dyck", raising)
+    argv = ("verify", "--suite", "bijections", "--max-k", "1", "--max-n", "2")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    checks = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
+    assert len(checks) == 17 and lines[-1] == "16/17 checks passed"
+    assert [line for line in checks if line.startswith("FAIL")] == [
+        next(line for line in checks if "/kt-dyck-roundtrip " in line)]
+    failure = lines[lines.index(next(line for line in checks
+                                     if line.startswith("FAIL"))) + 1]
+    # the label names the check and the line that raised, in the test's fake
+    assert failure.startswith(f"  kt-dyck-roundtrip ({__file__}:")
+    assert f": raised {error.__name__}: " in failure
+    assert failure.endswith("; replay: boxpaths " + " ".join(argv))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_count_prints_values_beyond_the_int_string_limit(capsys):
+    # count_box(1, 5200) has more than 4300 digits, Python's default limit
+    # for int-to-str conversion; the limit still guards the parsing of argv
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "--k", "1", "--n", "5200")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(counting.count_box(1, 5200))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 4300 and out == want + "\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--k", "1", "--n", "1" * 5000])
+    assert exc.value.code == 2
 
 
 def test_verify_series_diagonal_depth(capsys):

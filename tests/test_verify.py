@@ -7,10 +7,12 @@ counterexample.
 """
 
 import re
+import shlex
 
 import pytest
 
-from boxpaths import counting, paths
+from boxpaths import counting, paths, verify
+from boxpaths.cli import main
 from boxpaths.verify import (
     SUITES,
     CheckRecord,
@@ -20,6 +22,11 @@ from boxpaths.verify import (
 
 LINE_SHAPE = re.compile(
     r"^(PASS|FAIL) (formulas|bijections|series)/[a-z0-9-]+ \[.*\] \d+ cases$"
+)
+
+# the one template of every failure line
+FAILURE_SHAPE = re.compile(
+    r"^.+: (got .+, want .+|raised \w+: .*); replay: (?P<replay>boxpaths .*)$"
 )
 
 
@@ -145,3 +152,60 @@ def test_lines_truncate_long_failure_lists():
     assert lines[1:6] == [f"  case {i}" for i in range(5)]
     assert lines[6] == "  ... and 2 more failures"
     assert lines[-1] == "0/1 checks passed"
+
+
+def _failing(fn):
+    """The cases of check fn, each with a want that nothing equals."""
+    def cases(ctx):
+        for label, got, _want, argv in fn(ctx):
+            yield label, got, object(), argv
+    return cases
+
+
+def test_every_replay_runs(capsys):
+    # the runner writes a failure line for every case of every check, and
+    # each distinct replay in them runs; a case with no narrower command
+    # replays its suite at the same depth
+    ctx = verify._Ctx(1, 2)
+    replays = set()
+    for suite, name, params, fn in verify._CHECKS:
+        record = verify._run_check(ctx, suite, name, params, _failing(fn))
+        assert record.cases == len(record.failures) > 0, name
+        replays.update(FAILURE_SHAPE.match(f)["replay"] for f in record.failures)
+    # the size-1 0-box path is the empty word, a value of its own
+    assert "boxpaths biject --k 0 --to trees ''" in replays
+    commands = {shlex.split(replay)[1] for replay in replays}
+    assert commands == {"count", "enumerate", "biject", "verify"}
+    for replay in sorted(replays):
+        assert main(shlex.split(replay)[1:]) == 0, replay
+        capsys.readouterr()
+
+
+def _plus_one(real, at):
+    return lambda *args: real(*args) + (at is None or args == at)
+
+
+@pytest.mark.parametrize(
+    "attr, at, suite, red",
+    [
+        ("count_box_by_returns", (1, 3, 2), "formulas", "returns-row-sums"),
+        ("count_tailed", None, "formulas", "tailed-counts"),
+        ("count_box", (1, 3), "bijections", "box-generator"),
+        ("count_box_by_long_ascents", (1, 2, 1), "all", "long-ascent-series"),
+    ],
+)
+def test_failures_follow_the_template_and_replay(capsys, monkeypatch, attr, at,
+                                                 suite, red):
+    monkeypatch.setattr(counting, attr, _plus_one(getattr(counting, attr), at))
+    report = run_suite(suite, max_k=1, max_n=3)
+    assert red in {c.name for c in report.checks if not c.passed}
+    replays = set()
+    for failure in (f for c in report.checks for f in c.failures):
+        match = FAILURE_SHAPE.match(failure)
+        assert match, failure
+        replays.add(match["replay"])
+    for replay in sorted(replays):
+        argv = shlex.split(replay)[1:]
+        # a suite replay reproduces the failure; any other command runs
+        assert main(argv) == (1 if argv[0] == "verify" else 0), replay
+        capsys.readouterr()
