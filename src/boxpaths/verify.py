@@ -101,7 +101,7 @@ class _Ctx:
 
     def __init__(self, max_k: int, max_n: int):
         self.max_k, self.max_n = max_k, max_n
-        # the series suite's (t, x) orders, scaled up by max_n on request
+        # series (t, x) orders: wide enough for the identities, scaled by max_n
         self.orders = (max(6, max_n + 1), max(14, 3 * max_n - 1))
         self._box: dict[tuple[int, int], tuple[paths.PathWord, ...]] = {}
 

@@ -320,12 +320,11 @@ def test_verify_reports_a_raising_check_as_a_failure(capsys, monkeypatch, error)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (1, "")
     lines = out.splitlines()
-    checks = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
-    assert len(checks) == 17 and lines[-1] == "16/17 checks passed"
-    assert [line for line in checks if line.startswith("FAIL")] == [
-        next(line for line in checks if "/kt-dyck-roundtrip " in line)]
-    failure = lines[lines.index(next(line for line in checks
-                                     if line.startswith("FAIL"))) + 1]
+    assert sum(line.startswith(("PASS ", "FAIL ")) for line in lines) == 17
+    assert lines[-1] == "16/17 checks passed"
+    red = [i for i, line in enumerate(lines) if line.startswith("FAIL")]
+    assert len(red) == 1 and "/kt-dyck-roundtrip " in lines[red[0]]
+    failure = lines[red[0] + 1]
     # the label names the check and the line that raised, in the test's fake
     assert failure.startswith(f"  kt-dyck-roundtrip ({__file__}:")
     assert f": raised {error.__name__}: " in failure
