@@ -8,12 +8,12 @@ out of the same arithmetic (see paths.box_ascents).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .paths import (
     Composition,
     InvalidPathError,
     PathWord,
-    _check_ascents,
     _trusted_word,
     box_ascents,
     classify,
@@ -25,6 +25,7 @@ from .trees import (
     TreeTuple,
     _augment,
     _strip_augmented,
+    _unchecked,
     kdyck_to_tree,
     tree_to_kdyck,
 )
@@ -116,23 +117,33 @@ def decompose_box(path: PathWord, k: int) -> BoxDecomposition:
     ascents = _require_box(path, k)
     if k == 0:
         return BoxDecomposition(0, (_trusted_word(_augment(path.word, 1)),))
+    # block i of the word is U^(a_i) D^k L D
+    parts = _level_parts(path.word, ascents, k, k + 2)
+    return BoxDecomposition(k, tuple(map(_trusted_word, parts)))
+
+
+def _level_parts(word: str, ascents: tuple[int, ...], k: int,
+                 extra: int) -> list[str]:
+    """The parts at levels 0..k of a word that spends a_i + extra letters
+    on block i of a k-box path: the part at level i starts after the one
+    letter that follows part i-1, and ends after the last block that ends
+    at height i, or is empty when that block ends before the part starts."""
     # block j ends at height a_1 + ... + a_j - (k+2)j, at index
-    # a_1 + ... + a_j + (k+2)j; keep the last end at each level 0..k
+    # a_1 + ... + a_j + extra*j; keep the last end at each level 0..k
     ends = [0] * (k + 1)
     height = index = 0
     for a in ascents[:-1]:
         height += a - k - 2
-        index += a + k + 2
+        index += a + extra
         if height <= k:
             ends[height] = index
-    word = path.word
-    parts: list[PathWord] = []
+    parts = []
     pos = 0
     for end in ends:
         end = max(pos, end)
-        parts.append(_trusted_word(word[pos:end]))
+        parts.append(word[pos:end])
         pos = end + 1
-    return BoxDecomposition(k, tuple(parts))
+    return parts
 
 
 def compose_box(dec: BoxDecomposition) -> PathWord:
@@ -151,11 +162,18 @@ def compose_box(dec: BoxDecomposition) -> PathWord:
 
 
 def box_to_tree_tuple(path: PathWord, k: int) -> TreeTuple:
-    """A k-box path of size n as a (k+1)-tuple of (k+2)-ary trees, n-1 nodes."""
-    dec = decompose_box(path, k)
+    """A k-box path of size n as a (k+1)-tuple of (k+2)-ary trees, n-1 nodes.
+
+    The (k+1)-Dyck prefix of the path is P_0 U P_1 U ... U P_k, where P_i
+    runs from the U after the last visit to height i-1 to the last visit
+    to height i, a (k+1)-Dyck path; tree i encodes P_i.
+    """
+    ascents = _require_box(path, k)
+    # block i of the prefix is U^(a_i - 1) D
+    parts = _level_parts(_dyck_prefix(ascents), ascents, k, 0)
     return TreeTuple(tuple(
-        kdyck_to_tree(KDyckPath(k + 1, _strip_augmented(p.word, k + 1)))
-        for p in dec.parts))
+        kdyck_to_tree(_unchecked(KDyckPath, k=k + 1, word=word))
+        for word in parts))
 
 
 def tree_tuple_to_box(tup: TreeTuple, k: int) -> PathWord:
@@ -165,21 +183,28 @@ def tree_tuple_to_box(tup: TreeTuple, k: int) -> PathWord:
     for tree in tup.trees:
         if tree.arity != k + 2:
             raise ValueError(f"expected arity {k + 2}, got {tree.arity}")
-    words = [_augment(tree_to_kdyck(t).word, k + 1) for t in tup.trees]
-    if k == 0:
-        return compose_box(BoxDecomposition(0, (_trusted_word(words[0]),)))
-    # each part is an augmented word of a KDyckPath, which checked it: join
-    # them as compose_box does and check the word once
-    path = _trusted_word("".join(w + "U" for w in words) + "D" * k + "L")
-    _check_box(path, k)
-    return path
+    return _box_of_prefix("U".join([tree_to_kdyck(t).word for t in tup.trees]), k)
 
 
 def box_to_dyck_prefix(path: PathWord, k: int) -> str:
     """Intermediate of the k_t map: U^(a1-1) D U^(a2-1) ... U^(an-1) over
     {U, D} with D = (k+1,-(k+1)), a (k+1)-Dyck prefix ending at height k."""
-    a = box_ascents(path, k)
-    return "U" * (a[0] - 1) + "".join("D" + "U" * (x - 1) for x in a[1:])
+    return _dyck_prefix(box_ascents(path, k))
+
+
+def _dyck_prefix(ascents: tuple[int, ...]) -> str:
+    """box_to_dyck_prefix of the box path with these ascents."""
+    return "D".join(["U" * (a - 1) for a in ascents])
+
+
+def _box_of_prefix(prefix: str, k: int) -> PathWord:
+    """Inverse of box_to_dyck_prefix.  Every (k+1)-Dyck prefix ending at
+    height k is one of a k-box path, so the word is not checked again."""
+    if k == 0:
+        # the prefix of a 0-box path is its Dyck word
+        return _trusted_word(prefix)
+    # each D closes a block U^a D^k L D, and the last block ends U D^k L
+    return _trusted_word(_augment(prefix, k + 1) + "U" + "D" * k + "L")
 
 
 def box_to_kt_dyck(path: PathWord, k: int) -> KtDyckPath:
@@ -189,7 +214,8 @@ def box_to_kt_dyck(path: PathWord, k: int) -> KtDyckPath:
     shifts the leading k up-steps away; for k = 0 this is the identity on
     the underlying Dyck word.
     """
-    return KtDyckPath(k + 1, k, box_to_dyck_prefix(path, k)[k:])
+    return _unchecked(KtDyckPath, k=k + 1, t=k,
+                      word=box_to_dyck_prefix(path, k)[k:])
 
 
 def kt_dyck_to_box(path: KtDyckPath) -> PathWord:
@@ -197,28 +223,13 @@ def kt_dyck_to_box(path: KtDyckPath) -> PathWord:
     if path.t != path.k - 1:
         raise ValueError(f"box paths map to t = k-1, got k={path.k} t={path.t}")
     k = path.k - 1
-    runs = path.word.split("D")
-    parts = (len(runs[0]) + 1 + k,) + tuple(len(r) + 1 for r in runs[1:])
-    return _path_of_ascents(parts, k)
-
-
-def _path_of_ascents(parts: tuple[int, ...], k: int) -> PathWord:
-    """Rebuild a box path from an ascent tuple, honoring the k = 0 convention."""
-    if k >= 1:
-        return path_of_composition(Composition(k, parts))
-    _check_ascents(0, parts)
-    return _trusted_word("".join("U" * (x - 1) + "D" for x in parts[:-1]))
+    return _box_of_prefix("U" * k + path.word, k)
 
 
 def box_to_threshold(path: PathWord, k: int) -> ThresholdSequence:
     """Prefix sums s_i = a_1 + ... + a_i, i < n, as a (k+2, k)-threshold sequence."""
-    a = box_ascents(path, k)
-    sums: list[int] = []
-    s = 0
-    for x in a[:-1]:
-        s += x
-        sums.append(s)
-    return ThresholdSequence(k + 2, k, tuple(sums))
+    sums = tuple(accumulate(box_ascents(path, k)[:-1]))
+    return _unchecked(ThresholdSequence, k=k + 2, slack=k, entries=sums)
 
 
 def threshold_to_box(seq: ThresholdSequence) -> PathWord:
@@ -230,7 +241,7 @@ def threshold_to_box(seq: ThresholdSequence) -> PathWord:
     n = len(seq.entries) + 1
     bounds = seq.entries + ((k + 2) * n - 1,)
     parts = tuple(b - a for a, b in zip((0,) + seq.entries, bounds))
-    return _path_of_ascents(parts, k)
+    return _box_of_prefix(_dyck_prefix(parts), k)
 
 
 def parse_threshold(text: str, k: int) -> ThresholdSequence:
@@ -270,7 +281,7 @@ def return_injection(path: PathWord, k: int) -> PathWord:
             "two-return case); no 1-return image exists")
     a[0] += 1
     a[first + 1] -= 1
-    return _path_of_ascents(tuple(a), k)
+    return _box_of_prefix(_dyck_prefix(a), k)
 
 
 def invert_return_injection(path: PathWord, k: int) -> PathWord | NotInvertible:

@@ -184,6 +184,17 @@ def _skew_count_values(count: int) -> list[int]:
     ]
 
 
+def _fuss_terms(r):
+    """The values function of fuss_catalan(k + 2, r(k), n - 1) for
+    n = 1, 2, ...: count_box(k, n) at r(k) = k + 1 and count_tailed(k, n)
+    at r(k) = 1, built in one pass."""
+    def values(k, count: int) -> list[int]:
+        if count and k < 0:
+            raise ValueError("k must be >= 0")
+        return counting.fuss_catalan_terms(k + 2, r(k), count)
+    return values
+
+
 def _terms(term):
     """The values function of the sequence term(k, 1), term(k, 2), ..."""
     return lambda k, count: [term(k, i) for i in range(1, count + 1)]
@@ -210,8 +221,8 @@ def _triangle(cell):
 # each b-file sequence: its values for k and --count, and whether it takes
 # --k; the order is that of the --sequence choices
 _BFILE = {
-    "box-counts": (_terms(counting.count_box), True),
-    "tailed-counts": (_terms(counting.count_tailed), True),
+    "box-counts": (_fuss_terms(lambda k: k + 1), True),
+    "tailed-counts": (_fuss_terms(lambda k: 1), True),
     "returns-triangle": (_triangle(counting.count_box_by_returns), True),
     "long-ascents-triangle": (
         _triangle(counting.count_box_by_long_ascents), True),

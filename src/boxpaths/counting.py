@@ -8,7 +8,7 @@ UD^kL-factors; k = 0 means Dyck paths of semilength n - 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 
 def binomial(a: int, b: int) -> int:
@@ -33,6 +33,28 @@ def fuss_catalan(k: int, r: int, n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     return exact_div(r * binomial(k * n + r, n), k * n + r)
+
+
+def fuss_catalan_terms(k: int, r: int, count: int) -> list[int]:
+    """fuss_catalan(k, r, n) for n = 0, 1, ..., count - 1 (k, r >= 1).
+
+    Once n passes k, C(kn + r, n) comes from the previous term's binomial
+    C(M, n - 1), M = k(n - 1) + r, times the ratio
+    (M+1)...(M+k) / (n (M-n+2)...(M-n+k)) of two k-factor products, which
+    costs less than a fresh comb; before that, a fresh comb costs less.
+    """
+    out: list[int] = []
+    c = 1  # C(kn + r, n)
+    for n in range(count):
+        m = k * n + r
+        if n > k:
+            prev = m - k
+            c = c * prod(range(prev + 1, m + 1)) // (
+                n * prod(range(prev - n + 2, prev - n + k + 1)))
+        else:
+            c = comb(m, n)
+        out.append(exact_div(r * c, m))
+    return out
 
 
 def catalan(n: int) -> int:

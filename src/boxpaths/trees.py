@@ -64,6 +64,22 @@ def _preorder(root: TreeNode | None) -> Iterator[TreeNode | None]:
             stack.extend(reversed(node.children))
 
 
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass cls with these field values,
+    built without the checks in its __post_init__.  Pass every field the
+    constructor takes; a field it does not take keeps its class default,
+    as with the constructor (KDyckPath's t = 0).
+
+    Only for values the package derives from an input it has checked
+    already, such as a map's image of a checked path or tree; every other
+    caller goes through the constructor.
+    """
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class KAryTree:
     """A k-ary tree: every node has exactly `arity` ordered child slots."""
@@ -269,6 +285,7 @@ def tree_to_kdyck(tree: KAryTree) -> KDyckPath:
 
     A node with children c_0, ..., c_k reads U c_0 U c_1 ... U c_(k-1) D c_k:
     each slot is entered by its letter, U for the first k and D for the last.
+    The encoding of a checked tree is a k-Dyck path, so it is not re-checked.
     """
     if tree.arity < 2:
         raise ValueError("tree-to-path map needs arity >= 2")
@@ -282,7 +299,7 @@ def tree_to_kdyck(tree: KAryTree) -> KDyckPath:
         out.append(letter)
         if node is not None:
             stack.extend(zip(letters, reversed(node.children)))
-    return KDyckPath(k, "".join(out))
+    return _unchecked(KDyckPath, k=k, word="".join(out))
 
 
 def kdyck_to_tree(path: KDyckPath) -> KAryTree:
@@ -291,6 +308,8 @@ def kdyck_to_tree(path: KDyckPath) -> KAryTree:
     Read backwards, a node is c_k D c_(k-1) U ... c_0 U, so one sweep from
     the right builds every node bottom-up: a D opens a node whose last
     child is the subtree just completed, and each U closes one more slot.
+    A checked k-Dyck path gives nodes of k+1 slots each, so the tree is not
+    re-checked.
     """
     k = path.k
     # the children so far, last first, of each node whose U's are still due
@@ -312,7 +331,7 @@ def kdyck_to_tree(path: KDyckPath) -> KAryTree:
             done = TreeNode(tuple(slots))
     if open_nodes:
         raise InvalidPathError("malformed k-Dyck path")
-    return KAryTree(k + 1, done)
+    return _unchecked(KAryTree, arity=k + 1, root=done)
 
 
 def _augment(word: str, k: int) -> str:

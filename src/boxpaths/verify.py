@@ -137,6 +137,21 @@ def _register(suite: str, name: str, params: Union[str, Callable[[_Ctx], str]]):
     return wrap
 
 
+def _show(value) -> str:
+    """value as str writes it, but with str in place of repr for the items
+    of a tuple, list or set too, so that a Fraction reads 12/7 and a
+    PathWord its word; a string item keeps its quotes."""
+    cls = value.__class__
+    if cls not in (tuple, list, set):
+        return str(value)
+    items = ", ".join(repr(v) if v.__class__ is str else _show(v) for v in value)
+    if cls is tuple:
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    if cls is list:
+        return f"[{items}]"
+    return f"{{{items}}}" if value else "set()"
+
+
 def _run_check(ctx: _Ctx, suite: str, name: str, params, fn) -> CheckRecord:
     rerun = ("verify", "--suite", suite, "--max-k", ctx.max_k, "--max-n", ctx.max_n)
     cases, failures = 0, []
@@ -145,7 +160,8 @@ def _run_check(ctx: _Ctx, suite: str, name: str, params, fn) -> CheckRecord:
         for label, got, want, argv in fn(ctx):
             cases += 1
             if got != want:
-                failures.append((f"{label}: got {got}, want {want}", argv or rerun))
+                failures.append((f"{label}: got {_show(got)}, want {_show(want)}",
+                                 argv or rerun))
     except Exception as exc:
         where = traceback.extract_tb(exc.__traceback__)[-1]
         label = f"{name} ({where.filename}:{where.lineno})"

@@ -1,6 +1,7 @@
 """The four partner bijections, the return injection and the embedding."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,8 @@ from boxpaths import (
     BoxDecomposition,
     Composition,
     InvalidPathError,
+    KAryTree,
+    KDyckPath,
     KtDyckPath,
     NotInvertible,
     PathWord,
@@ -34,6 +37,10 @@ from boxpaths import (
     threshold_to_box,
     tree_tuple_to_box,
 )
+from boxpaths import TreeTuple, generate_trees, kdyck_to_tree, tree_to_kdyck
+from boxpaths.bijections import _check_box
+from boxpaths.paths import _check_ascents
+from boxpaths.trees import _augment, _strip_augmented
 
 EXAMPLE = parse_path("UUUDLDUUUDLDUUDL")
 KT_EXAMPLE_BOX = parse_path("UUUUUDDLDUUUDDLDUUUDDL")
@@ -317,3 +324,169 @@ def test_embed_all_long():
                 p for p in all_box(k + 1, n) if min(box_ascents(p, k + 1)) >= 2
             }
             assert images == target
+
+
+# The maps as they were when every intermediate value went through its
+# constructor, kept as the references the maps must match now that they
+# build what they derive from checked input without checking it again.
+
+
+def ref_box_to_tree_tuple(path, k):
+    dec = decompose_box(path, k)
+    return TreeTuple(tuple(
+        # KAryTree checks the arity of the tree kdyck_to_tree builds
+        KAryTree(k + 2, kdyck_to_tree(
+            KDyckPath(k + 1, _strip_augmented(p.word, k + 1))).root)
+        for p in dec.parts))
+
+
+def ref_tree_tuple_to_box(tup, k):
+    if len(tup.trees) != k + 1:
+        raise ValueError(f"expected {k + 1} trees, got {len(tup.trees)}")
+    for tree in tup.trees:
+        if tree.arity != k + 2:
+            raise ValueError(f"expected arity {k + 2}, got {tree.arity}")
+    words = [_augment(KDyckPath(k + 1, tree_to_kdyck(t).word).word, k + 1)
+             for t in tup.trees]
+    if k == 0:
+        return compose_box(BoxDecomposition(0, (PathWord(words[0]),)))
+    path = PathWord("".join(w + "U" for w in words) + "D" * k + "L")
+    _check_box(path, k)
+    return path
+
+
+def ref_path_of_ascents(parts, k):
+    if k >= 1:
+        return path_of_composition(Composition(k, parts))
+    _check_ascents(0, parts)
+    return PathWord("".join("U" * (x - 1) + "D" for x in parts[:-1]))
+
+
+def ref_box_to_kt_dyck(path, k):
+    return KtDyckPath(k + 1, k, box_to_dyck_prefix(path, k)[k:])
+
+
+def ref_kt_dyck_to_box(path):
+    if path.t != path.k - 1:
+        raise ValueError(f"box paths map to t = k-1, got k={path.k} t={path.t}")
+    k = path.k - 1
+    runs = path.word.split("D")
+    parts = (len(runs[0]) + 1 + k,) + tuple(len(r) + 1 for r in runs[1:])
+    return ref_path_of_ascents(parts, k)
+
+
+def ref_box_to_threshold(path, k):
+    a = box_ascents(path, k)
+    sums = []
+    s = 0
+    for x in a[:-1]:
+        s += x
+        sums.append(s)
+    return ThresholdSequence(k + 2, k, tuple(sums))
+
+
+def ref_threshold_to_box(seq):
+    k = seq.slack
+    if seq.k != k + 2:
+        raise ValueError(f"box paths use threshold parameter slack+2, "
+                         f"got k={seq.k} slack={seq.slack}")
+    n = len(seq.entries) + 1
+    bounds = seq.entries + ((k + 2) * n - 1,)
+    parts = tuple(b - a for a, b in zip((0,) + seq.entries, bounds))
+    return ref_path_of_ascents(parts, k)
+
+
+def random_path(k, n, rng):
+    """A k-box path of size n from a random walk on its (k+1)-Dyck prefix,
+    which steps D with the share of D's left whenever it may; not uniform,
+    but every path of size n can come out."""
+    ups, downs, height = (k + 1) * (n - 1) + k, n - 1, 0
+    letters = []
+    while ups or downs:
+        if downs and height > k and rng.randrange(ups + downs) < downs:
+            letters.append("D")
+            height -= k + 1
+            downs -= 1
+        else:
+            letters.append("U")
+            height += 1
+            ups -= 1
+    prefix = "".join(letters)
+    if k == 0:
+        return PathWord(prefix)
+    return path_of_composition(
+        Composition(k, tuple(len(run) + 1 for run in prefix.split("D"))))
+
+
+def assert_same_value(built, checked):
+    """built equals the value its constructor checked, field for field."""
+    assert type(built) is type(checked)
+    assert built == checked and hash(built) == hash(checked)
+    assert vars(built) == vars(checked)
+
+
+def test_maps_match_their_checked_references():
+    rng = random.Random(10)
+    for k in range(4):
+        small = [p for n in range(1, 8 - k) for p in generate_k_box(k, n)]
+        large = [random_path(k, 10**4, rng)] + shaped_paths(k, 10**4)
+        for p in small + large:
+            tup = box_to_tree_tuple(p, k)
+            assert tup == ref_box_to_tree_tuple(p, k), (p.word[:40], k)
+            assert tree_tuple_to_box(tup, k) == ref_tree_tuple_to_box(tup, k) == p
+            q = box_to_kt_dyck(p, k)
+            assert_same_value(q, ref_box_to_kt_dyck(p, k))
+            assert kt_dyck_to_box(q) == ref_kt_dyck_to_box(q) == p
+            s = box_to_threshold(p, k)
+            assert_same_value(s, ref_box_to_threshold(p, k))
+            assert threshold_to_box(s) == ref_threshold_to_box(s) == p
+            for tree in tup.trees:
+                assert_same_value(tree, KAryTree(tree.arity, tree.root))
+            try:
+                image = return_injection(p, k)
+            except InvalidPathError:
+                continue
+            # box_ascents accepts the image, which is built unchecked too
+            assert ref_path_of_ascents(box_ascents(image, k), k) == image
+
+
+def test_every_checked_image_maps_to_a_box_path():
+    # the inverse maps trust their typed input: every value its constructor
+    # accepts must give a word that box_ascents accepts, and map back
+    for k in range(4):
+        for m in range(5):
+            length = (k + 2) * m
+            images = []
+            for downs in itertools.combinations(range(length), m):
+                word = "".join("D" if i in downs else "U" for i in range(length))
+                try:
+                    images.append(KtDyckPath(k + 1, k, word))
+                except ValueError:
+                    continue
+            for entries in itertools.combinations(range(1, (k + 2) * m + k + 1), m):
+                try:
+                    images.append(ThresholdSequence(k + 2, k, entries))
+                except ValueError:
+                    continue
+            assert len(images) == 2 * count_box(k, m + 1)
+            for image in images:
+                if isinstance(image, KtDyckPath):
+                    p = kt_dyck_to_box(image)
+                    assert box_to_kt_dyck(p, k) == image
+                else:
+                    p = threshold_to_box(image)
+                    assert box_to_threshold(p, k) == image
+                assert len(box_ascents(p, k)) == m + 1
+        for n in range(1, 5):
+            tuples = [
+                TreeTuple(tup)
+                for sizes in itertools.product(range(n), repeat=k + 1)
+                if sum(sizes) == n - 1
+                for tup in itertools.product(
+                    *(generate_trees(k + 2, size) for size in sizes))
+            ]
+            assert len(tuples) == count_box(k, n)
+            for tup in tuples:
+                p = tree_tuple_to_box(tup, k)
+                assert len(box_ascents(p, k)) == n
+                assert box_to_tree_tuple(p, k) == tup

@@ -480,6 +480,24 @@ def test_bfile_empty_request(capsys):
     assert (code, out) == (0, "")
 
 
+def test_bfile_fuss_catalan_counts_match_each_term(capsys):
+    # box-counts and tailed-counts are built in one pass; a bad --k is an
+    # error only when some term is asked for, as with term-by-term counts
+    for seq, term in (("box-counts", counting.count_box),
+                      ("tailed-counts", counting.count_tailed)):
+        for k in (0, 1, 2, 5):
+            code, out, err = run(capsys, "bfile", "--sequence", seq, "--k",
+                                 str(k), "--count", "200")
+            want = [term(k, n) for n in range(1, 201)]
+            assert (code, out, err) == (0, bfile_text(want), "")
+        code, out, err = run(capsys, "bfile", "--sequence", seq, "--k", "-1",
+                             "--count", "0")
+        assert (code, out, err) == (0, "", "")
+        code, out, err = run(capsys, "bfile", "--sequence", seq, "--k", "-1",
+                             "--count", "1")
+        assert (code, out, err) == (2, "", "error: k must be >= 0\n")
+
+
 def test_bfile_usage_errors(capsys):
     code, _, err = run(
         capsys, "bfile", "--sequence", "skew-counts", "--k", "1", "--count", "3"

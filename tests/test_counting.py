@@ -14,6 +14,7 @@ from boxpaths.counting import (
     count_tailed,
     exact_div,
     fuss_catalan,
+    fuss_catalan_terms,
     lasc_mean,
     lasc_moment_sums,
     lasc_variance,
@@ -93,6 +94,15 @@ def test_fuss_catalan_known_values():
     assert [fuss_catalan(2, 1, n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
     assert [fuss_catalan(3, 1, n) for n in range(6)] == [1, 1, 3, 12, 55, 273]
     assert [catalan(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]
+
+
+def test_fuss_catalan_terms_carry_each_term_exactly():
+    # the carried binomial must equal a fresh one on both sides of n = k
+    for k in range(1, 7):
+        for r in range(1, k + 2):
+            assert fuss_catalan_terms(k, r, 60) == [
+                fuss_catalan(k, r, n) for n in range(60)]
+    assert fuss_catalan_terms(3, 2, 0) == []
 
 
 @pytest.mark.parametrize("k,expected", [(1, BOX_COUNTS_K1), (2, BOX_COUNTS_K2)])

@@ -125,6 +125,23 @@ def test_tree_kdyck_roundtrip():
                 assert kdyck_to_tree(p) == t
 
 
+def test_maps_build_values_equal_to_checked_ones():
+    # tree_to_kdyck and kdyck_to_tree build their images without the
+    # constructors' checks; the values must not differ in any field
+    for arity in (2, 3, 4):
+        for n in range(5):
+            for t in generate_trees(arity, n):
+                p = tree_to_kdyck(t)
+                checked = KDyckPath(arity - 1, p.word)
+                back = kdyck_to_tree(checked)
+                for built, want in ((p, checked), (back, t),
+                                    (back, KAryTree(arity, back.root))):
+                    assert type(built) is type(want)
+                    assert built == want and hash(built) == hash(want)
+                    assert vars(built) == vars(want)
+                assert p.t == 0
+
+
 def test_kdyck_words_are_distinct():
     words = {tree_to_kdyck(t).word for t in generate_trees(3, 4)}
     assert len(words) == fuss_catalan(3, 1, 4)

@@ -209,3 +209,21 @@ def test_failures_follow_the_template_and_replay(capsys, monkeypatch, attr, at,
         # a suite replay reproduces the failure; any other command runs
         assert main(argv) == (1 if argv[0] == "verify" else 0), replay
         capsys.readouterr()
+
+
+def test_failures_write_values_by_str(monkeypatch):
+    # a Fraction reads 12/7 and a PathWord its word, inside lists and
+    # tuples too
+    monkeypatch.setattr(counting, "count_box_by_returns",
+                        _plus_one(counting.count_box_by_returns, (1, 3, 2)))
+    report = run_suite("formulas", max_k=1, max_n=3)
+    (moments,) = [c for c in report.checks if c.name == "returns-moments"]
+    assert moments.failures == (
+        "returns mean, variance (1, 3): got [12/7, 24/49], want [7/4, 7/16]; "
+        "replay: boxpaths count --k 1 --n 3 --stat returns",)
+    ctx = verify._Ctx(1, 3)
+    check = next(fn for _, name, _, fn in verify._CHECKS if name == "return-injection")
+    record = verify._run_check(ctx, "bijections", "return-injection", "", _failing(check))
+    assert not any("PathWord(" in f for f in record.failures)
+    assert any("'UDUD' (k=0) to 'UUDD': returns, first preimage, inverse: "
+               "got (2, UDUD, UDUD), want" in f for f in record.failures)
