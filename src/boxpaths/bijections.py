@@ -11,13 +11,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .paths import (
-    Composition,
     InvalidPathError,
     PathWord,
     _trusted_word,
     box_ascents,
     classify,
-    path_of_composition,
+    path_of_composition,  # noqa: F401  (no map here calls it; the bench tracer wraps it)
 )
 from .trees import (
     KDyckPath,
@@ -264,7 +263,12 @@ def return_injection(path: PathWord, k: int) -> PathWord:
     sits just before the final virtual block (the 2-return Dyck case, which
     has no 1-return partner).
     """
-    a = list(box_ascents(path, k))
+    return _inject(box_ascents(path, k), k)
+
+
+def _inject(ascents: tuple[int, ...], k: int) -> PathWord:
+    """return_injection of the k-box path with these ascents."""
+    a = list(ascents)
     n = len(a)
     first = None
     s = 0
@@ -302,11 +306,11 @@ def invert_return_injection(path: PathWord, k: int) -> PathWord | NotInvertible:
         return NotInvertible("no return to y=1")
     candidate = PathWord(word[1:pos + 1] + "U" + word[pos + 1:])
     try:
-        box_ascents(candidate, k)
+        ascents = box_ascents(candidate, k)
     except ValueError:
         return NotInvertible(f"first return to y=1 at index {pos} is "
                              f"mid-factor: {classify(candidate, k).reason}")
-    if return_injection(candidate, k) != path:
+    if _inject(ascents, k) != path:
         return NotInvertible("reinserted word does not map back")
     return candidate
 
@@ -314,5 +318,7 @@ def invert_return_injection(path: PathWord, k: int) -> PathWord | NotInvertible:
 def embed_all_long(path: PathWord, k: int) -> PathWord:
     """Turn a k-box path into the (k+1)-box path with every ascent long
     (each U D^k L factor becomes U U D^(k+1) L)."""
-    parts = tuple(x + 1 for x in box_ascents(path, k))
-    return path_of_composition(Composition(k + 1, parts))
+    # ascents a_i + 1 meet the (k+1)-box bounds whenever the a_i meet the
+    # k-box ones (at k = 0 too), so the image is built unchecked
+    parts = [a + 1 for a in box_ascents(path, k)]
+    return _box_of_prefix(_dyck_prefix(parts), k + 1)

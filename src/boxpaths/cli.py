@@ -101,7 +101,7 @@ def cmd_enumerate(args) -> int:
             raise ValueError("compositions only apply to --family box")
         if args.n < 0:
             raise ValueError("--n must be >= 0")
-        _write_lines(p.word for p in paths.generate_skew_dyck(args.n))
+        _write_lines(paths.skew_dyck_words(args.n))
         return 0
     if args.k is None:
         raise ValueError("--family box needs --k")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, repeat
 from typing import Iterator
 
@@ -370,8 +371,8 @@ def _trusted_word(word: str) -> PathWord:
 # completions and builds each prefix's words as one batch.  Eight steps
 # keep the table at about 3 600 short strings, at most 256 per prefix, and
 # measured fastest through semilength 11: six make four times as many
-# batches, and ten or twelve build a table six or thirty times larger on
-# every call for no gain.
+# batches, and ten or twelve build a table six or thirty times larger for
+# little or no gain.
 _TAIL_STEPS = 8
 
 
@@ -392,9 +393,11 @@ def _skew_moves(u: int, d: int, prev: str,
     return moves
 
 
+@cache
 def _skew_tails(allow_left: bool) -> dict[tuple[int, int, str], list[str]]:
     """Every completion of at most _TAIL_STEPS steps, in word order, keyed
-    by (ups left, downs left, previous step); built bottom-up."""
+    by (ups left, downs left, previous step); built bottom-up, once for
+    each value of allow_left, and never changed after."""
     tails = {(0, 0, prev): [""] for prev in "UDL"}
     for steps in range(1, _TAIL_STEPS + 1):
         for u in range(steps // 2 + 1):
@@ -408,21 +411,46 @@ def _skew_tails(allow_left: bool) -> dict[tuple[int, int, str], list[str]]:
     return tails
 
 
-def generate_skew_dyck(semilength: int, allow_left: bool = True) -> Iterator[PathWord]:
-    """Yield all skew Dyck paths of the given semilength, lexicographically (U < D < L).
+def skew_dyck_words(semilength: int, allow_left: bool = True) -> Iterator[str]:
+    """Yield the words of all skew Dyck paths of the given semilength, as
+    plain strings, lexicographically (U < D < L); with allow_left=False,
+    the Dyck words.
 
-    The paths stream from an explicit stack of prefixes; the last few steps
-    come from a per-call table of completions, and each prefix's words are
-    built from its completions as one batch.  Words are built from their
-    letters and not validated again.
+    The words stream from an explicit stack of prefixes; the last few steps
+    come from a cached table of completions, and each prefix's words are
+    built from its completions as one batch.  Argument errors raise at the
+    call, not at the first next().
     """
-    if semilength < 0:
-        raise ValueError("semilength must be >= 0")
+    _check_semilength(semilength)
     return chain.from_iterable(_skew_batches(semilength, allow_left))
 
 
-def _skew_batches(semilength: int, allow_left: bool) -> Iterator[list[PathWord]]:
-    """The words of generate_skew_dyck, one list per prefix whose
+def generate_skew_dyck(semilength: int, allow_left: bool = True) -> Iterator[PathWord]:
+    """Yield all skew Dyck paths of the given semilength, lexicographically (U < D < L).
+
+    The paths are the words of skew_dyck_words, wrapped batch by batch and
+    not validated again.
+    """
+    _check_semilength(semilength)
+    batches = _skew_batches(semilength, allow_left)
+    return chain.from_iterable(map(_trusted_batch, batches))
+
+
+def _check_semilength(semilength: int) -> None:
+    if semilength < 0:
+        raise ValueError("semilength must be >= 0")
+
+
+def _trusted_batch(words: list[str]) -> list[PathWord]:
+    """_trusted_word over a whole batch at C speed, with no Python call per
+    word; the empty deque drains the slot's set calls."""
+    batch = list(map(object.__new__, repeat(PathWord, len(words))))
+    deque(map(PathWord.word.__set__, batch, words), 0)
+    return batch
+
+
+def _skew_batches(semilength: int, allow_left: bool) -> Iterator[list[str]]:
+    """The words of skew_dyck_words, one list per prefix whose
     completions come from the tail table."""
     tails = _skew_tails(allow_left)
     # (prefix, ups left, downs left, previous step); the empty start acts
@@ -431,13 +459,7 @@ def _skew_batches(semilength: int, allow_left: bool) -> Iterator[list[PathWord]]
     while stack:
         prefix, u, d, prev = stack.pop()
         if u + d <= _TAIL_STEPS:
-            # _trusted_word over the whole batch at C speed, with no Python
-            # call per word; the empty deque drains the slot's set calls
-            batch = tails[(u, d, prev)]
-            words = list(map(object.__new__, repeat(PathWord, len(batch))))
-            deque(map(PathWord.word.__set__, words,
-                      map(prefix.__add__, batch)), 0)
-            yield words
+            yield list(map(prefix.__add__, tails[(u, d, prev)]))
             continue
         # pushed last move first, so the pops follow word order
         for step, u2, d2 in reversed(_skew_moves(u, d, prev, allow_left)):

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
-from operator import attrgetter, methodcaller
+from operator import methodcaller
 from typing import Callable, Iterator, Union
 
 from . import bijections, counting, paths, series, trees
@@ -369,7 +369,7 @@ def _catalan_specialization(ctx: _Ctx):
 @_register("bijections", "skew-generator", f"semilength<={len(SKEW_COUNTS) - 3}")
 def _skew_generator(ctx: _Ctx):
     for m in range(len(SKEW_COUNTS) - 2):
-        words = [p.word for p in paths.generate_skew_dyck(m)]
+        words = list(paths.skew_dyck_words(m))
         valid = all(paths.classify(paths.PathWord(w)).skew_dyck for w in words)
         got = (len(words), len(set(words)), words == sorted(words, key=_LEX), valid)
         yield (f"skew paths of semilength {m}: count, distinct, lex order, valid",
@@ -396,8 +396,7 @@ def _family_minimality(ctx: _Ctx):
     for k, n in product(range(1, top_k + 1), range(1, top_n + 1)):
         factor, m_box = "U" + "D" * k + "L", (k + 2) * n - 1
         for m in range(1, m_box + 1):
-            words = map(attrgetter("word"), paths.generate_skew_dyck(m))  # in C
-            carriers = {w for w in words if w.count(factor) == n}
+            carriers = {w for w in paths.skew_dyck_words(m) if w.count(factor) == n}
             if carriers:
                 break
         yield (f"lowest semilength with {n} {factor}-factors, its carriers",
@@ -409,7 +408,7 @@ def _dyck_convention(ctx: _Ctx):
     # size-n 0-box paths are by convention the Dyck paths of semilength n-1
     for n in range(1, ctx.max_n + 1):
         got = {p.word for p in ctx.box(0, n)}
-        want = {p.word for p in paths.generate_dyck(n - 1)}
+        want = set(paths.skew_dyck_words(n - 1, allow_left=False))
         yield (f"0-box paths of size {n}, their count", (got, len(got)),
                (want, counting.count_box(0, n)), _box(0, n))
 

@@ -38,6 +38,7 @@ from boxpaths import (
     tree_tuple_to_box,
 )
 from boxpaths import TreeTuple, generate_trees, kdyck_to_tree, tree_to_kdyck
+from boxpaths import bijections
 from boxpaths.bijections import _check_box
 from boxpaths.paths import _check_ascents
 from boxpaths.trees import _augment, _strip_augmented
@@ -324,6 +325,34 @@ def test_embed_all_long():
                 p for p in all_box(k + 1, n) if min(box_ascents(p, k + 1)) >= 2
             }
             assert images == target
+
+
+def _reference_embed_all_long(path, k):
+    """embed_all_long's body when it checked its image through Composition."""
+    parts = tuple(x + 1 for x in box_ascents(path, k))
+    return path_of_composition(Composition(k + 1, parts))
+
+
+def test_embed_all_long_matches_the_checked_body():
+    for k in range(3):
+        for n in range(1, 6):
+            for p in all_box(k, n):
+                assert embed_all_long(p, k) == _reference_embed_all_long(p, k)
+
+
+def test_invert_return_injection_reads_the_candidate_once(monkeypatch):
+    # box_ascents once on the input and once on the candidate, whose
+    # ascents the re-injection reuses
+    real = bijections.box_ascents
+    calls = []
+
+    def counted(path, k):
+        calls.append(path.word)
+        return real(path, k)
+
+    monkeypatch.setattr(bijections, "box_ascents", counted)
+    assert invert_return_injection(parse_path("UUUUDLDUUDLDUUDL"), 1) == EXAMPLE
+    assert calls == ["UUUUDLDUUDLDUUDL", EXAMPLE.word]
 
 
 # The maps as they were when every intermediate value went through its

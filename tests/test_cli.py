@@ -155,6 +155,9 @@ def test_enumerate_skew(capsys):
     code, out, _ = run(capsys, "enumerate", "--family", "skew", "--n", "2")
     assert code == 0
     assert out.splitlines() == ["UUDD", "UUDL", "UDUD"]
+    code, out, _ = run(capsys, "enumerate", "--family", "skew", "--n", "6")
+    assert code == 0
+    assert out.splitlines() == [p.word for p in paths.generate_skew_dyck(6)]
 
 
 def test_enumerate_usage_errors(capsys):

@@ -27,6 +27,7 @@ from boxpaths import (
     parse_composition,
     parse_path,
     path_of_composition,
+    skew_dyck_words,
     stats,
 )
 from boxpaths.bijections import _require_box
@@ -482,15 +483,17 @@ def test_generate_skew_dyck_counts():
 
 def test_generate_skew_dyck_streams():
     assert next(generate_skew_dyck(200)).word == "U" * 200 + "D" * 200
+    assert next(skew_dyck_words(200)) == "U" * 200 + "D" * 200
     # the 751 236 words of semilength 11 would take over 100 MB as a list
-    tracemalloc.start()
-    try:
-        count = sum(1 for _ in generate_skew_dyck(11))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert count == SKEW_COUNTS[11]
-    assert peak < 2 * 2**20
+    for words in (generate_skew_dyck, skew_dyck_words):
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in words(11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == SKEW_COUNTS[11]
+        assert peak < 2 * 2**20
 
 
 # the skew generator's body before it built its words in batches, one
@@ -511,12 +514,16 @@ def _reference_skew_words(semilength, allow_left):
 def test_generate_skew_dyck_matches_the_per_word_generator():
     for allow_left in (True, False):
         for m in range(10):
+            want = list(_reference_skew_words(m, allow_left))
             got = list(generate_skew_dyck(m, allow_left))
-            assert got == list(_reference_skew_words(m, allow_left))
+            assert got == want
             for p in got:
                 assert type(p) is PathWord and p == PathWord(p.word)
+            assert list(skew_dyck_words(m, allow_left)) == [p.word for p in want]
     with pytest.raises(ValueError):
         generate_skew_dyck(-1)
+    with pytest.raises(ValueError):
+        skew_dyck_words(-1)
 
 
 def test_generate_skew_dyck_semilength_two():

@@ -8,6 +8,8 @@ counterexample.
 
 import re
 import shlex
+import sys
+from collections import Counter
 
 import pytest
 
@@ -111,19 +113,43 @@ def test_injected_count_fault_reaches_bijection_suite(monkeypatch):
 def test_injected_generator_fault_reaches_family_minimality(monkeypatch):
     # the check must enumerate through the module attribute: drop the skew
     # paths of semilength 7 with two UDDL factors (the 2-box paths of size 2)
-    real = paths.generate_skew_dyck
+    real = paths.skew_dyck_words
 
     def dropping(semilength, allow_left=True):
         words = real(semilength, allow_left)
         if semilength != 7:
             return words
-        return (p for p in words if p.word.count("UDDL") != 2)
+        return (w for w in words if w.count("UDDL") != 2)
 
-    monkeypatch.setattr(paths, "generate_skew_dyck", dropping)
+    monkeypatch.setattr(paths, "skew_dyck_words", dropping)
     report = run_suite("bijections", 2, 2)
     bad = [c for c in report.checks if not c.passed]
     assert [c.name for c in bad] == ["family-minimality"]
     assert any("replay: boxpaths enumerate" in f for f in bad[0].failures)
+
+
+def test_family_minimality_scans_every_skew_word(monkeypatch):
+    # the brute force stays exhaustive: for each k in {1, 2} and n <= 3 it
+    # reads every skew word of every semilength 1..(k+2)n - 1 (OEIS A002212)
+    a002212 = [1, 1, 3, 10, 36, 137, 543, 2219, 9285, 39587, 171369, 751236]
+    real = paths.skew_dyck_words
+    read = Counter()
+
+    def counted(semilength, allow_left=True):
+        caller = sys._getframe(1).f_code.co_name
+
+        def reading(words):
+            for word in words:
+                read[caller] += 1
+                yield word
+
+        return reading(real(semilength, allow_left))
+
+    monkeypatch.setattr(paths, "skew_dyck_words", counted)
+    assert run_suite("bijections", 2, 3).ok
+    want = sum(a002212[m] for k in (1, 2) for n in (1, 2, 3)
+               for m in range(1, (k + 2) * n))
+    assert read["_family_minimality"] == want
 
 
 def test_records_carry_wall_time():
