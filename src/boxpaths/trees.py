@@ -5,6 +5,7 @@ x-axis and ends on it; its size is the number of D steps.  It is the t = 0
 case of a k_t-Dyck path, which may dip down to y = -t.  The first-return
 decomposition mu = U mu_1 U mu_2 ... U mu_k D mu_{k+1} pairs k-Dyck paths of
 size n with (k+1)-ary trees with n nodes (child i of the root maps to mu_i).
+A KAryTree is stored as that word, read in preorder.
 
 For k >= 2, rewriting every D step as the factor U D^(k-1) L D turns a
 k-Dyck path into an "augmented" skew Dyck word made of n blocks
@@ -51,7 +52,25 @@ class TreeNode:
 
     def __repr__(self) -> str:
         # the dataclass text, in which a single child is a 1-tuple (c,)
-        return _write(self, "None", "TreeNode(children=(", ", ", "))", ",))")
+        out: list[str] = []
+        # slots still to write and the text between them, last one on top
+        stack: list[TreeNode | str | None] = [self]
+        while stack:
+            item = stack.pop()
+            if item is None:
+                out.append("None")
+            elif item.__class__ is str:
+                out.append(item)
+            else:
+                out.append("TreeNode(children=(")
+                children = item.children
+                stack.append(",))" if len(children) == 1 else "))")
+                for i in range(len(children) - 1, 0, -1):
+                    stack.append(children[i])
+                    stack.append(", ")
+                if children:
+                    stack.append(children[0])
+        return "".join(out)
 
 
 def _preorder(root: TreeNode | None) -> Iterator[TreeNode | None]:
@@ -66,9 +85,9 @@ def _preorder(root: TreeNode | None) -> Iterator[TreeNode | None]:
 
 def _unchecked(cls, **values):
     """An instance of the frozen dataclass cls with these field values,
-    built without the checks in its __post_init__.  Pass every field the
-    constructor takes; a field it does not take keeps its class default,
-    as with the constructor (KDyckPath's t = 0).
+    built without its constructor's checks.  Pass every field that has no
+    class default; one that has keeps it, as with the constructor
+    (KDyckPath's t = 0).
 
     Only for values the package derives from an input it has checked
     already, such as a map's image of a checked path or tree; every other
@@ -80,44 +99,109 @@ def _unchecked(cls, **values):
     return obj
 
 
-@dataclass(frozen=True)
+_UNBUILT = object()  # KAryTree's root before it is built
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class KAryTree:
-    """A k-ary tree: every node has exactly `arity` ordered child slots."""
+    """A k-ary tree: every node has exactly `arity` ordered child slots.
 
+    The tree is stored as its preorder slot-letter word, the (arity-1)-Dyck
+    word tree_to_kdyck reads (arity 1 gives one D per node), so equality,
+    hashing and node_count work on a string.  `root`, the tree as nodes,
+    is built from the word on first access and then kept; it is not a
+    field.
+    """
+
+    __slots__ = ("_root", "__dict__")
     arity: int
-    root: TreeNode | None
+    word: str
 
-    def __post_init__(self) -> None:
-        if self.arity < 1:
+    def __init__(self, arity: int, root: TreeNode | None) -> None:
+        if arity < 1:
             raise ValueError("arity must be >= 1")
-        _check_arity(self.root, self.arity)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "word", _word_of_nodes(root, arity))
+        object.__setattr__(self, "_root", root)
+
+    @property
+    def root(self) -> TreeNode | None:
+        root = getattr(self, "_root", _UNBUILT)
+        if root is _UNBUILT:
+            root = _nodes_of_word(self.word, self.arity)
+            object.__setattr__(self, "_root", root)
+        return root
 
     @property
     def node_count(self) -> int:
-        return _count(self.root)
+        return self.word.count("D")
+
+    def __repr__(self) -> str:
+        return f"KAryTree(arity={self.arity}, root={self.root!r})"
 
     def __str__(self) -> str:
         return format_tree(self)
 
+    def __getstate__(self) -> dict:
+        # copy and pickle take the fields only; a frozen class could not
+        # set the cached root back
+        return vars(self)
 
-def _check_arity(root: TreeNode | None, arity: int) -> None:
-    stack = [root]
+
+def _word_of_nodes(root: TreeNode | None, arity: int) -> str:
+    """The slot letters of the tree under root in preorder: a node reads
+    U c_0 U c_1 ... U c_(arity-2) D c_(arity-1).  Raises ValueError on the
+    first node in preorder whose slot count is not `arity`."""
+    letters = "D" + "U" * (arity - 1)  # the slots' letters, last slot first
+    out: list[str] = []
+    # (letter, content) of the slots still to write, the next one on top
+    stack: list[tuple[str, TreeNode | None]] = [("", root)]
     while stack:
-        node = stack.pop()
-        if node is None:
+        letter, node = stack.pop()
+        out.append(letter)
+        if node is not None:
+            children = node.children
+            if len(children) != arity:
+                raise ValueError(
+                    f"node has {len(children)} child slots, expected {arity}")
+            stack.extend(zip(letters, reversed(children)))
+    return "".join(out)
+
+
+def _nodes_of_word(word: str, arity: int) -> TreeNode | None:
+    """The tree whose slot-letter word (as _word_of_nodes writes it) is word.
+
+    Read backwards, a node is c_k D c_(k-1) U ... c_0 U (k = arity-1), so
+    one sweep from the right builds every node bottom-up: a D opens a node
+    whose last child is the subtree just completed, and each U closes one
+    more slot.  The word is the stored one of a checked tree, so the nodes
+    are built without TreeNode's constructor.
+    """
+    new, set_children = object.__new__, TreeNode.children.__set__
+    done: TreeNode | None = None  # the subtree just completed, if any
+    if arity == 1:
+        # each D is a node whose one child is the rest of the word
+        for _ in word:
+            node = new(TreeNode)
+            set_children(node, (done,))
+            done = node
+        return done
+    # the children so far, last first, of each node whose U's are still due
+    open_nodes: list[list[TreeNode | None]] = []
+    for ch in reversed(word):
+        if ch == "D":
+            open_nodes.append([done])
+            done = None
             continue
-        if len(node.children) != arity:
-            # this walk goes right to left; name the first wrong node in
-            # preorder, so the message does not depend on the walk
-            node = next(n for n in _preorder(root)
-                        if n is not None and len(n.children) != arity)
-            raise ValueError(
-                f"node has {len(node.children)} child slots, expected {arity}")
-        stack += node.children
-
-
-def _count(root: TreeNode | None) -> int:
-    return sum(node is not None for node in _preorder(root))
+        slots = open_nodes[-1]
+        slots.append(done)
+        done = None
+        if len(slots) == arity:
+            open_nodes.pop()
+            slots.reverse()
+            done = new(TreeNode)
+            set_children(done, tuple(slots))
+    return done
 
 
 @dataclass(frozen=True)
@@ -136,59 +220,105 @@ class TreeTuple:
 
 def format_tree(tree: KAryTree) -> str:
     """Render a tree: '-' for empty, '(c_0 c_1 ...)' per node."""
-    return _write(tree.root, "-", "(", " ", ")", ")")
+    return _text_of_word(tree.word, tree.arity - 1)
 
 
-def _write(root: TreeNode | None, empty: str, opening: str, sep: str,
-           closing: str, closing_one: str) -> str:
-    """The slots under root in preorder: `empty` for an empty slot, and for
-    a node `opening`, its children separated by `sep`, then `closing`, or
-    `closing_one` after a single child."""
-    out: list[str] = []
-    # slots still to write and the text between them, last one on top
-    stack: list[TreeNode | str | None] = [root]
-    while stack:
-        item = stack.pop()
-        if item is None:
-            out.append(empty)
-        elif item.__class__ is str:
-            out.append(item)
+def _text_of_word(word: str, k: int) -> str:
+    """format_tree of the arity-(k+1) tree with this slot-letter word.
+
+    One sweep from the right, as in _nodes_of_word, writes the text
+    backwards.  Each letter gives the separator before its slot, '(' for
+    a node's first slot and ' ' for the others, with a '-' after it when
+    the slot is empty.  Backwards, a node's ')' goes before its last
+    child's text, which is already written when the node's D is read;
+    but the ')' in front of one '-' are all alike, so each run is
+    counted where it starts and written out at the end.
+    """
+    if not word:
+        return "-"
+    out: list[str | int] = []  # the text backwards; an int counts a ')' run
+    runs: list[int] = []  # where in out each ')' run stands
+    due: list[int] = []  # the U's still due of each open node
+    heads: list[int] = []  # and where its ')' run stands
+    done = -1  # where the subtree just completed has its ')' run, or -1
+    for ch in reversed(word):
+        if ch == "D":
+            if done < 0:
+                done = len(out)
+                runs.append(done)
+                out += (1, "-")
+            else:
+                out[done] += 1
+            if k:
+                due.append(k)
+                heads.append(done)
+                out.append(" ")
+                done = -1
+            else:
+                out.append("(")
+            continue
+        if done < 0:
+            out.append("-")
+        left = due[-1] - 1
+        if left:
+            due[-1] = left
+            out.append(" ")
+            done = -1
         else:
-            out.append(opening)
-            children = item.children
-            stack.append(closing_one if len(children) == 1 else closing)
-            for i in range(len(children) - 1, 0, -1):
-                stack.append(children[i])
-                stack.append(sep)
-            if children:
-                stack.append(children[0])
+            due.pop()
+            out.append("(")
+            done = heads.pop()
+    for i in runs:
+        out[i] = ")" * out[i]
+    out.reverse()
     return "".join(out)
 
 
 def parse_tree(text: str, arity: int) -> KAryTree:
-    """Parse the format_tree() notation back into a tree."""
+    """Parse the format_tree() notation back into a tree.
+
+    One pass over the tokens writes the slot-letter word and counts each
+    node's children; the first node in preorder with the wrong count is
+    named, after the text is found well formed.
+    """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    # the children read so far of each node whose ')' is still to come
-    open_nodes: list[list[TreeNode | None]] = []
+    k = arity - 1
+    out: list[str] = []  # the slot letters so far
+    # per open node: its parent's child count and the index of its '('
+    saved: list[tuple[int, int]] = []
+    count = -1  # children so far of the innermost open node; -1 when none is
+    wrong: tuple[int, int] | None = None  # '(' index and count of a wrong node
     for pos, tok in enumerate(tokens):
-        if tok == "(":
-            open_nodes.append([])
-            continue
         if tok == "-":
-            node = None
-        elif tok == ")" and open_nodes:
-            node = TreeNode(tuple(open_nodes.pop()))
+            if count < 0:
+                break
+            out.append("U" if count < k else "D")
+            count += 1
+        elif tok == "(":
+            if count >= 0:
+                out.append("U" if count < k else "D")
+                count += 1
+            saved.append((count, pos))
+            count = 0
+        elif tok == ")" and count >= 0:
+            got = count
+            count, start = saved.pop()
+            if got != arity and (wrong is None or start < wrong[0]):
+                wrong = start, got
+            if count < 0:
+                break
         else:
             raise ValueError(f"unexpected token {tok!r} in tree text")
-        if not open_nodes:
-            break
-        open_nodes[-1].append(node)
     else:
-        raise ValueError("missing ')' in tree text" if open_nodes
+        raise ValueError("missing ')' in tree text" if count >= 0
                          else "unexpected end of tree text")
     if pos + 1 != len(tokens):
         raise ValueError(f"trailing tokens in tree text: {tokens[pos + 1:]}")
-    return KAryTree(arity, node)
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    if wrong is not None:
+        raise ValueError(f"node has {wrong[1]} child slots, expected {arity}")
+    return _unchecked(KAryTree, arity=arity, word="".join(out))
 
 
 def generate_trees(arity: int, n: int) -> Iterator[KAryTree]:
@@ -285,53 +415,27 @@ def tree_to_kdyck(tree: KAryTree) -> KDyckPath:
 
     A node with children c_0, ..., c_k reads U c_0 U c_1 ... U c_(k-1) D c_k:
     each slot is entered by its letter, U for the first k and D for the last.
-    The encoding of a checked tree is a k-Dyck path, so it is not re-checked.
+    That is the word the tree is stored as, and the word of a checked tree
+    is a k-Dyck path, so it is not re-checked.
     """
     if tree.arity < 2:
         raise ValueError("tree-to-path map needs arity >= 2")
-    k = tree.arity - 1
-    letters = "D" + "U" * k  # the slots' letters, last slot first
-    out: list[str] = []
-    # (letter, content) of the slots still to write, the next one on top
-    stack: list[tuple[str, TreeNode | None]] = [("", tree.root)]
-    while stack:
-        letter, node = stack.pop()
-        out.append(letter)
-        if node is not None:
-            stack.extend(zip(letters, reversed(node.children)))
-    return _unchecked(KDyckPath, k=k, word="".join(out))
+    return _unchecked(KDyckPath, k=tree.arity - 1, word=tree.word)
 
 
 def kdyck_to_tree(path: KDyckPath) -> KAryTree:
     """Inverse of tree_to_kdyck: a k-Dyck path becomes a (k+1)-ary tree.
 
-    Read backwards, a node is c_k D c_(k-1) U ... c_0 U, so one sweep from
-    the right builds every node bottom-up: a D opens a node whose last
-    child is the subtree just completed, and each U closes one more slot.
-    A checked k-Dyck path gives nodes of k+1 slots each, so the tree is not
-    re-checked.
+    The tree is stored as the path's word; a checked k-Dyck path gives
+    nodes of k+1 slots each, so the tree is not re-checked.  A k_t-Dyck
+    path with t > 0 is one only if it never dips below the x-axis.
     """
-    k = path.k
-    # the children so far, last first, of each node whose U's are still due
-    open_nodes: list[list[TreeNode | None]] = []
-    done: TreeNode | None = None  # the subtree just completed, if any
-    for ch in reversed(path.word):
-        if ch == "D":
-            open_nodes.append([done])
-            done = None
-            continue
-        if not open_nodes:
-            raise InvalidPathError("malformed k-Dyck path")
-        slots = open_nodes[-1]
-        slots.append(done)
-        done = None
-        if len(slots) > k:
-            open_nodes.pop()
-            slots.reverse()
-            done = TreeNode(tuple(slots))
-    if open_nodes:
-        raise InvalidPathError("malformed k-Dyck path")
-    return _unchecked(KAryTree, arity=k + 1, root=done)
+    if path.t:
+        try:
+            KDyckPath(path.k, path.word)
+        except InvalidPathError:
+            raise InvalidPathError("malformed k-Dyck path") from None
+    return _unchecked(KAryTree, arity=path.k + 1, word=path.word)
 
 
 def _augment(word: str, k: int) -> str:

@@ -270,6 +270,21 @@ def test_biject_round_trips_at_size_5000(capsys, k):
             assert (code, out, err) == (0, word + "\n", "")
 
 
+def test_biject_trees_round_trips_at_size_100000(capsys):
+    # the tree text of the tall path nests 10**5 deep; no step may recurse
+    k, n = 2, 10**5
+    for parts in (((k + 1) * n,) + (1,) * (n - 1), (k + 2,) * (n - 1) + (k + 1,)):
+        word = "".join("U" * a + "D" * k + "LD" for a in parts[:-1])
+        word += "U" * parts[-1] + "D" * k + "L"
+        code, image, err = run(capsys, "biject", "--k", str(k), "--to", "trees", word)
+        assert (code, err) == (0, "")
+        assert image.count("(") == n - 1
+        code, out, err = run(
+            capsys, "biject", "--k", str(k), "--to", "trees", "--inverse", "--", image.strip()
+        )
+        assert (code, out, err) == (0, word + "\n", "")
+
+
 def test_biject_usage_errors(capsys):
     code, _, err = run(
         capsys,

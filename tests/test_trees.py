@@ -1,5 +1,8 @@
 """k-ary trees, their big-step path encodings, and the augmented form."""
 
+import copy
+import pickle
+import random
 import sys
 from dataclasses import make_dataclass
 
@@ -140,6 +143,12 @@ def test_maps_build_values_equal_to_checked_ones():
                     assert built == want and hash(built) == hash(want)
                     assert vars(built) == vars(want)
                 assert p.t == 0
+
+
+def test_kdyck_to_tree_takes_kt_paths_that_stay_above_the_axis():
+    assert kdyck_to_tree(KtDyckPath(2, 1, "UUD")) == kdyck_to_tree(KDyckPath(2, "UUD"))
+    with pytest.raises(InvalidPathError, match=r"^malformed k-Dyck path$"):
+        kdyck_to_tree(KtDyckPath(2, 1, "UDUUUD"))  # dips to y = -1
 
 
 def test_kdyck_words_are_distinct():
@@ -316,3 +325,194 @@ def parse_path(text):
     from boxpaths import parse_path
 
     return parse_path(text)
+
+
+# The node-based bodies of format_tree, parse_tree and kdyck_to_tree from
+# before trees were stored as their k-Dyck words, kept as the references
+# the word-based code must match.
+
+
+def ref_write(root, empty, opening, sep, closing, closing_one):
+    out = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            out.append(empty)
+        elif item.__class__ is str:
+            out.append(item)
+        else:
+            out.append(opening)
+            children = item.children
+            stack.append(closing_one if len(children) == 1 else closing)
+            for i in range(len(children) - 1, 0, -1):
+                stack.append(children[i])
+                stack.append(sep)
+            if children:
+                stack.append(children[0])
+    return "".join(out)
+
+
+def ref_format_tree(tree):
+    return ref_write(tree.root, "-", "(", " ", ")", ")")
+
+
+def ref_parse_tree(text, arity):
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    open_nodes = []
+    for pos, tok in enumerate(tokens):
+        if tok == "(":
+            open_nodes.append([])
+            continue
+        if tok == "-":
+            node = None
+        elif tok == ")" and open_nodes:
+            node = TreeNode(tuple(open_nodes.pop()))
+        else:
+            raise ValueError(f"unexpected token {tok!r} in tree text")
+        if not open_nodes:
+            break
+        open_nodes[-1].append(node)
+    else:
+        raise ValueError("missing ')' in tree text" if open_nodes
+                         else "unexpected end of tree text")
+    if pos + 1 != len(tokens):
+        raise ValueError(f"trailing tokens in tree text: {tokens[pos + 1:]}")
+    return KAryTree(arity, node)
+
+
+def ref_kdyck_nodes(word, k):
+    """The root kdyck_to_tree built from a k-Dyck word, node by node."""
+    open_nodes = []
+    done = None
+    for ch in reversed(word):
+        if ch == "D":
+            open_nodes.append([done])
+            done = None
+            continue
+        slots = open_nodes[-1]
+        slots.append(done)
+        done = None
+        if len(slots) > k:
+            open_nodes.pop()
+            slots.reverse()
+            done = TreeNode(tuple(slots))
+    assert not open_nodes
+    return done
+
+
+def ref_node_count(root):
+    count, stack = 0, [root]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            count += 1
+            stack += node.children
+    return count
+
+
+def assert_same_tree(built, want):
+    """A tree built from its word agrees with want, built from nodes."""
+    assert type(built) is type(want) is KAryTree
+    assert built == want and hash(built) == hash(want)
+    assert vars(built) == vars(want) == {"arity": want.arity, "word": want.word}
+    text = str(built)
+    assert text == str(want) == ref_format_tree(want)
+    assert repr(built) == repr(want)
+    assert built.node_count == want.node_count == ref_node_count(want.root)
+    assert built.root == want.root
+    return text
+
+
+def test_trees_built_from_words_match_trees_built_from_nodes():
+    for arity in (1, 2, 3, 4):
+        forest = [t for n in range(6) for t in generate_trees(arity, n)]
+        for t in forest:
+            text = ref_format_tree(t)
+            assert format_tree(t) == text
+            built = [parse_tree(text, arity)]
+            if arity >= 2:
+                p = KDyckPath(arity - 1, t.word)
+                built.append(kdyck_to_tree(p))
+                assert tree_to_kdyck(built[-1]) == p
+                assert built[-1].root == ref_kdyck_nodes(t.word, arity - 1)
+            for tree in built:
+                assert_same_tree(tree, t)
+                assert_same_tree(tree, ref_parse_tree(text, arity))
+            # the root a tree was built from is the one it keeps
+            assert KAryTree(arity, t.root).root is t.root
+        tup = TreeTuple(tuple(parse_tree(str(t), arity) for t in forest))
+        assert tup == TreeTuple(tuple(forest))
+        assert tup.total_nodes == sum(ref_node_count(t.root) for t in forest)
+        assert str(tup) == ",".join(map(ref_format_tree, forest))
+
+
+def test_tree_tuples_built_from_words_match_nodes_at_size_10000():
+    from test_bijections import random_path, shaped_paths
+
+    rng = random.Random(12)
+    n = 10**4
+    for k in range(4):
+        for p in [random_path(k, n, rng)] + shaped_paths(k, n):
+            tup = bijections.box_to_tree_tuple(p, k)
+            nodes = TreeTuple(tuple(
+                KAryTree(k + 2, ref_kdyck_nodes(t.word, k + 1)) for t in tup.trees))
+            assert tup == nodes and hash(tup) == hash(nodes)
+            assert tup.total_nodes == nodes.total_nodes == n - 1
+            for tree, want in zip(tup.trees, nodes.trees):
+                text = assert_same_tree(tree, want)
+                parsed = parse_tree(text, k + 2)
+                assert parsed == ref_parse_tree(text, k + 2) == tree
+                assert vars(parsed) == vars(tree)
+
+
+PARSE_REJECTIONS = [
+    ("", 3),  # empty text
+    ("   ", 2),
+    ("(- - -", 3),  # missing ')'
+    ("((- - -) - -", 3),
+    ("(", 1),
+    ("(- - *)", 3),  # unexpected token
+    ("(-- -)", 2),
+    (")", 3),
+    ("x", 0),  # a structural error before the arity check
+    ("(- - -) -", 3),  # trailing tokens
+    ("(- - -))", 3),
+    ("- -", 2),
+    ("(- -)(- -)", 2),
+    # a wrong node, then a structural error: the structural error wins
+    ("((- -) -", 3),
+    ("((- -) - - *)", 3),
+    ("((- -) - -) -", 3),
+    # two wrong nodes: the first in preorder is named, here the outer one
+    # although the inner one closes first
+    ("((- -))", 3),
+    ("((- -) (- - - -) -)", 3),
+    ("(- (- -) (-))", 3),
+    ("()", 2),
+    ("(- -)", 3),  # wrong child count
+    ("(- - - -)", 3),
+    ("((- - -) - -)", 2),
+    ("(-)", 0),  # arity below 1, with a well-formed text
+    ("-", 0),
+    ("-", -1),
+]
+
+
+def test_parse_tree_rejections_match_the_reference():
+    for text, arity in PARSE_REJECTIONS:
+        with pytest.raises(ValueError) as want:
+            ref_parse_tree(text, arity)
+        with pytest.raises(ValueError) as got:
+            parse_tree(text, arity)
+        assert type(got.value) is type(want.value), text
+        assert str(got.value) == str(want.value), text
+
+
+def test_trees_copy_and_pickle_with_their_root_built():
+    t = parse_tree("((- -) -)", 2)
+    for tree in (t, KAryTree(2, t.root)):
+        assert tree.root is not None
+        for other in (copy.copy(tree), copy.deepcopy(tree),
+                      pickle.loads(pickle.dumps(tree))):
+            assert_same_tree(other, tree)
