@@ -174,27 +174,20 @@ def _nodes_of_word(word: str, arity: int) -> TreeNode | None:
     Read backwards, a node is c_k D c_(k-1) U ... c_0 U (k = arity-1), so
     one sweep from the right builds every node bottom-up: a D opens a node
     whose last child is the subtree just completed, and each U closes one
-    more slot.  The word is the stored one of a checked tree, so the nodes
-    are built without TreeNode's constructor.
+    more slot.  Each node's slot is set directly, which is cheaper than
+    the frozen dataclass's __init__ and skips no check.
     """
     new, set_children = object.__new__, TreeNode.children.__set__
-    done: TreeNode | None = None  # the subtree just completed, if any
-    if arity == 1:
-        # each D is a node whose one child is the rest of the word
-        for _ in word:
-            node = new(TreeNode)
-            set_children(node, (done,))
-            done = node
-        return done
     # the children so far, last first, of each node whose U's are still due
     open_nodes: list[list[TreeNode | None]] = []
+    done: TreeNode | None = None  # the subtree just completed, if any
     for ch in reversed(word):
         if ch == "D":
-            open_nodes.append([done])
-            done = None
-            continue
-        slots = open_nodes[-1]
-        slots.append(done)
+            slots = [done]
+            open_nodes.append(slots)
+        else:
+            slots = open_nodes[-1]
+            slots.append(done)
         done = None
         if len(slots) == arity:
             open_nodes.pop()

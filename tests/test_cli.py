@@ -271,7 +271,7 @@ def test_biject_round_trips_at_size_5000(capsys, k):
 
 
 def test_biject_trees_round_trips_at_size_100000(capsys):
-    # the tree text of the tall path nests 10**5 deep; no step may recurse
+    # the tree texts of both paths nest 10**5 - 1 deep; no step may recurse
     k, n = 2, 10**5
     for parts in (((k + 1) * n,) + (1,) * (n - 1), (k + 2,) * (n - 1) + (k + 1,)):
         word = "".join("U" * a + "D" * k + "LD" for a in parts[:-1])
