@@ -40,10 +40,17 @@ class InvalidPathError(ValueError):
     """The word is structurally invalid for the requested operation."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PathWord:
-    """A word over {U, D, L}; carries no validity promise beyond its alphabet."""
+    """A word over {U, D, L}; carries no validity promise beyond its alphabet.
 
+    Once box_ascents or classify accepts the word as a k-box path, its
+    ascents are kept in a slot that is not a field (see _known_ascents),
+    so every later check of the same object reads them back; equality,
+    hashing, repr, copy and pickle see the word alone.
+    """
+
+    __slots__ = ("word", "_ascents")
     word: str
 
     def __post_init__(self) -> None:
@@ -63,6 +70,35 @@ class PathWord:
 
     def __str__(self) -> str:
         return self.word
+
+    def __getstate__(self) -> list[str]:
+        # copy and pickle take the word only, as the list of field values a
+        # slots=True dataclass writes, so older pickles load; the ascents
+        # are found again
+        return [self.word]
+
+    def __setstate__(self, state: list[str]) -> None:
+        _set_word(self, *state)
+
+
+_set_word = PathWord.word.__set__
+_set_ascents = PathWord._ascents.__set__
+
+
+def _known_ascents(path: PathWord, k: int) -> tuple[int, ...] | None:
+    """The ascents kept on path if it was accepted as a k-box path, else None.
+
+    Only accepted ascents are kept, and a word is a k-box path for at most
+    one k.  n ascents take 2((k+2)n - 1) letters at k >= 1 and 2(n - 1) at
+    k = 0 (the virtual tuple), so for a given n the length names the k.
+    """
+    parts = getattr(path, "_ascents", None)
+    if parts is None:
+        return None
+    n = len(parts)
+    if len(path.word) == 2 * ((k + 2) * n - 1 if k else n - 1):
+        return parts
+    return None
 
 
 def parse_path(text: str) -> PathWord:
@@ -164,11 +200,18 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
     factor U D^k L can start only where a U-run ends, so there are exactly
     n of them, with semilength a_1 + ... + a_n = (k+2)n - 1.  Any other
     word takes the definitional route: the skew scan, then the factor count.
+    Accepted ascents are kept on the path, or read back if kept already.
     """
     word = path.word
     if k is not None and k >= 1:
-        parts = _box_template(word, k)
-        if isinstance(parts, tuple) and _ascent_defect(k, parts) is None:
+        parts = _known_ascents(path, k)
+        if parts is None:
+            parts = _box_template(word, k)
+            if isinstance(parts, int) or _ascent_defect(k, parts) is not None:
+                parts = None
+            else:
+                _set_ascents(path, parts)
+        if parts is not None:
             return PathClass(True, None, False, len(word) // 2, k=k,
                              box_size=len(parts),
                              tailed=word.endswith("U" * (k + 1) + "D" * k + "L"))
@@ -296,24 +339,31 @@ def box_ascents(path: PathWord, k: int) -> tuple[int, ...]:
     """Ascent tuple of a k-box path; for k = 0 the virtual tuple (b_i + 1, ..., 1).
 
     The k = 0 case reads a Dyck path U^b1 D ... U^bm D as the virtual box
-    path obtained by rewriting D -> ULD and appending UL.
+    path obtained by rewriting D -> ULD and appending UL.  The ascents are
+    kept on the path once accepted, and read back by every later call at
+    the same k; a rejection is not kept, so it is found and raised anew.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    parts = _known_ascents(path, k)
+    if parts is not None:
+        return parts
+    word = path.word
     if k == 0:
         cls = classify(path, 0)
         if cls.box_size is None:
             raise InvalidPathError(
                 f"not a Dyck path: {cls.reason or 'contains L steps'}")
         # the U-runs before each D, then the empty run after the last
-        return tuple(len(run) + 1 for run in path.word.split("D"))
-    word = path.word
-    parts = _box_template(word, k)
-    if isinstance(parts, int):
-        # an index past the word is the appended D: name the last letter
-        raise InvalidPathError(f"not a {k}-box path: malformed block at "
-                               f"index {min(parts, len(word) - 1)}")
-    _check_ascents(k, parts)
+        parts = tuple(len(run) + 1 for run in word.split("D"))
+    else:
+        parts = _box_template(word, k)
+        if isinstance(parts, int):
+            # an index past the word is the appended D: name the last letter
+            raise InvalidPathError(f"not a {k}-box path: malformed block at "
+                                   f"index {min(parts, len(word) - 1)}")
+        _check_ascents(k, parts)
+    _set_ascents(path, parts)
     return parts
 
 
@@ -363,7 +413,7 @@ def _trusted_word(word: str) -> PathWord:
     caller validates.
     """
     path = object.__new__(PathWord)
-    PathWord.word.__set__(path, word)
+    _set_word(path, word)
     return path
 
 
@@ -445,7 +495,7 @@ def _trusted_batch(words: list[str]) -> list[PathWord]:
     """_trusted_word over a whole batch at C speed, with no Python call per
     word; the empty deque drains the slot's set calls."""
     batch = list(map(object.__new__, repeat(PathWord, len(words))))
-    deque(map(PathWord.word.__set__, batch, words), 0)
+    deque(map(_set_word, batch, words), 0)
     return batch
 
 

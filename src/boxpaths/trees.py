@@ -94,8 +94,9 @@ def _unchecked(cls, **values):
     caller goes through the constructor.
     """
     obj = object.__new__(cls)
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
+    # the fields live in the instance dict, which the frozen __setattr__
+    # does not guard; one update fills them all
+    obj.__dict__.update(values)
     return obj
 
 

@@ -40,7 +40,7 @@ from boxpaths import (
 from boxpaths import TreeTuple, generate_trees, kdyck_to_tree, tree_to_kdyck
 from boxpaths import bijections
 from boxpaths.bijections import _check_box
-from boxpaths.paths import _check_ascents
+from boxpaths.paths import _box_template, _check_ascents
 from boxpaths.trees import _augment, _strip_augmented
 
 EXAMPLE = parse_path("UUUDLDUUUDLDUUDL")
@@ -353,6 +353,32 @@ def test_invert_return_injection_reads_the_candidate_once(monkeypatch):
     monkeypatch.setattr(bijections, "box_ascents", counted)
     assert invert_return_injection(parse_path("UUUUDLDUUDLDUUDL"), 1) == EXAMPLE
     assert calls == ["UUUUDLDUUDLDUUDL", EXAMPLE.word]
+
+
+def test_a_path_is_scanned_once_by_every_check_and_forward_map(monkeypatch):
+    # the ascents one check accepts are kept on the path, so classify,
+    # box_ascents and the four forward maps scan it once between them;
+    # compose_box scans the word it joins once more
+    scanned = []
+
+    def counted(word, k):
+        scanned.append(word)
+        return _box_template(word, k)
+
+    monkeypatch.setattr("boxpaths.paths._box_template", counted)
+    for k, parts in ((1, (3, 3, 2)), (2, (5, 3, 4, 3))):
+        word = path_of_composition(Composition(k, parts)).word
+        path = PathWord(word)
+        assert classify(path, k).box_size == len(parts)
+        assert box_ascents(path, k) == parts
+        box_to_tree_tuple(path, k)
+        box_to_kt_dyck(path, k)
+        box_to_threshold(path, k)
+        dec = decompose_box(path, k)
+        assert scanned == [word]
+        assert compose_box(dec) == path
+        assert scanned == [word, word]
+        scanned.clear()
 
 
 # The maps as they were when every intermediate value went through its
