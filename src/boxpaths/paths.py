@@ -78,10 +78,9 @@ class PathWord:
         return [self.word]
 
     def __setstate__(self, state: list[str]) -> None:
-        _set_word(self, *state)
+        PathWord.word.__set__(self, *state)
 
 
-_set_word = PathWord.word.__set__
 _set_ascents = PathWord._ascents.__set__
 
 
@@ -207,10 +206,10 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
         parts = _known_ascents(path, k)
         if parts is None:
             parts = _box_template(word, k)
-            if isinstance(parts, int) or _ascent_defect(k, parts) is not None:
-                parts = None
-            else:
+            if isinstance(parts, tuple) and _ascent_defect(k, parts) is None:
                 _set_ascents(path, parts)
+            else:
+                parts = None
         if parts is not None:
             return PathClass(True, None, False, len(word) // 2, k=k,
                              box_size=len(parts),
@@ -413,7 +412,7 @@ def _trusted_word(word: str) -> PathWord:
     caller validates.
     """
     path = object.__new__(PathWord)
-    _set_word(path, word)
+    PathWord.word.__set__(path, word)
     return path
 
 
@@ -495,7 +494,7 @@ def _trusted_batch(words: list[str]) -> list[PathWord]:
     """_trusted_word over a whole batch at C speed, with no Python call per
     word; the empty deque drains the slot's set calls."""
     batch = list(map(object.__new__, repeat(PathWord, len(words))))
-    deque(map(_set_word, batch, words), 0)
+    deque(map(PathWord.word.__set__, batch, words), 0)
     return batch
 
 

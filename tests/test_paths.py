@@ -483,7 +483,7 @@ def _outcome(check, path, k):
     """What check(path, k) returns, or the type and message it raises."""
     try:
         return check(path, k)
-    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
