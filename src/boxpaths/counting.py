@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, prod
 
+from .paths import _check_box_args
+
 
 def binomial(a: int, b: int) -> int:
     """C(a, b), with 0 whenever the arguments leave 0 <= b <= a."""
@@ -190,9 +192,3 @@ def count_kt_dyck(k: int, t: int, n: int) -> int:
         raise ValueError("n must be >= 0")
     return fuss_catalan(k + 1, t + 1, n)
 
-
-def _check_box_args(k: int, n: int) -> None:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")

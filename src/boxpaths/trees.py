@@ -16,6 +16,8 @@ of the box-path decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
+from operator import add
 from typing import Iterator
 
 from .paths import InvalidPathError, PathWord, _block_ascents
@@ -34,21 +36,10 @@ class TreeNode:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a is None or b is None or len(a.children) != len(b.children):
-                return False
-            stack += zip(a.children, b.children)
-        return True
+        return _shape(self) == _shape(other)
 
     def __hash__(self) -> int:
-        # the preorder slot counts, -1 for an empty slot, are a prefix
-        # code: equal trees, and only they, give equal tuples
-        return hash(tuple(-1 if node is None else len(node.children)
-                          for node in _preorder(self)))
+        return hash(tuple(_shape(self)))
 
     def __repr__(self) -> str:
         # the dataclass text, in which a single child is a 1-tuple (c,)
@@ -73,14 +64,20 @@ class TreeNode:
         return "".join(out)
 
 
-def _preorder(root: TreeNode | None) -> Iterator[TreeNode | None]:
-    """Every slot of the tree, empty ones as None, parents before children."""
+def _shape(root: TreeNode | None) -> list[int]:
+    """The slot counts of the tree under root in preorder, -1 for an empty
+    slot.  They are a prefix code: equal trees, and only they, give equal
+    lists."""
+    out: list[int] = []
     stack = [root]
     while stack:
         node = stack.pop()
-        yield node
-        if node is not None:
-            stack.extend(reversed(node.children))
+        if node is None:
+            out.append(-1)
+        else:
+            out.append(len(node.children))
+            stack += reversed(node.children)
+    return out
 
 
 def _unchecked(cls, **values):
@@ -316,39 +313,36 @@ def parse_tree(text: str, arity: int) -> KAryTree:
 
 
 def generate_trees(arity: int, n: int) -> Iterator[KAryTree]:
-    """Yield all k-ary trees with n nodes, empty-first, leftmost-smallest."""
+    """Yield all k-ary trees with n nodes, empty-first, leftmost-smallest.
+
+    The trees are built as words, smallest first.  The first next() keeps
+    the words of every size below n, and those of size n stream from them.
+    """
     if arity < 1:
         raise ValueError("arity must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    for root in _gen_nodes(arity, n):
-        yield KAryTree(arity, root)
+    letters = "U" * (arity - 1) + "D"  # a node's slot letters, in order
+    words = [[""]]  # words[m]: the words of the trees of m nodes
+    for m in range(1, n):
+        words.append(list(_words_of_size(m, letters, words)))
+    for word in _words_of_size(n, letters, words) if n else words[0]:
+        yield _unchecked(KAryTree, arity=arity, word=word)
 
 
-def _gen_nodes(arity: int, n: int) -> Iterator[TreeNode | None]:
-    if n == 0:
-        yield None
-        return
-    for sizes in _weak_compositions(n - 1, arity):
-        yield from _combine(arity, sizes, ())
+def _words_of_size(m: int, letters: str, words: list[list[str]]) -> Iterator[str]:
+    """The words of the trees of m >= 1 nodes, from words[s] for s < m.
 
-
-def _combine(arity: int, sizes: tuple[int, ...],
-             chosen: tuple[TreeNode | None, ...]) -> Iterator[TreeNode]:
-    if not sizes:
-        yield TreeNode(chosen)
-        return
-    for sub in _gen_nodes(arity, sizes[0]):
-        yield from _combine(arity, sizes[1:], chosen + (sub,))
-
-
-def _weak_compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, slots - 1):
-            yield (first,) + rest
+    A node is each slot's letter followed by its subtree's word.  The
+    subtree sizes take the weak compositions of m - 1 in ascending
+    lexicographic order, which is that of their stars-and-bars bar
+    positions; then the last subtree varies fastest.
+    """
+    end = m + len(letters) - 2  # m - 1 stars and len(letters) - 1 bars
+    for bars in combinations(range(end), len(letters) - 1):
+        sizes = [b - a - 1 for a, b in zip((-1, *bars), (*bars, end))]
+        for subtrees in product(*[words[s] for s in sizes]):
+            yield "".join(map(add, letters, subtrees))
 
 
 @dataclass(frozen=True)

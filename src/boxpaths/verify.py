@@ -557,7 +557,8 @@ def _tree_generator(ctx: _Ctx):
 def _tree_kdyck_roundtrip(ctx: _Ctx):
     for arity, n in product(range(2, ctx.max_k + 3), range(ctx.max_n + 1)):
         for tr in trees.generate_trees(arity, n):
-            q = trees.tree_to_kdyck(tr)
+            # checked, as the generator builds its trees unchecked
+            q = trees.KDyckPath(arity - 1, trees.tree_to_kdyck(tr).word)
             yield (f"{q.word!r} (arity {arity}): round trip, k, size",
                    (trees.kdyck_to_tree(q), q.k, q.size), (tr, arity - 1, n), None)
 

@@ -190,6 +190,47 @@ def test_strip_rejects_foreign_words():
         augmented_to_kdyck(parse_path("UUDLD"), 2)
 
 
+# The recursive node generator generate_trees used before it built its
+# trees as words, kept as the reference for their order.
+
+
+def ref_gen_nodes(arity, n):
+    if n == 0:
+        yield None
+        return
+    for sizes in ref_weak_compositions(n - 1, arity):
+        yield from ref_combine(arity, sizes, ())
+
+
+def ref_combine(arity, sizes, chosen):
+    if not sizes:
+        yield TreeNode(chosen)
+        return
+    for sub in ref_gen_nodes(arity, sizes[0]):
+        yield from ref_combine(arity, sizes[1:], chosen + (sub,))
+
+
+def ref_weak_compositions(total, slots):
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in ref_weak_compositions(total - first, slots - 1):
+            yield (first,) + rest
+
+
+def test_generate_trees_matches_the_node_generator_in_order():
+    for arity in range(1, 6):
+        for n in range(8 if arity <= 3 else 6):
+            forest = list(generate_trees(arity, n))
+            want = [KAryTree(arity, root).word for root in ref_gen_nodes(arity, n)]
+            assert [t.word for t in forest] == want, (arity, n)
+            for t in forest:
+                if arity >= 2:
+                    assert KDyckPath(arity - 1, t.word).word == t.word
+                assert KAryTree(arity, t.root) == t
+
+
 # The recursive tree code the package used before its maps moved onto
 # explicit stacks, kept as the reference the stack-based code must match.
 
