@@ -229,6 +229,9 @@ def test_generate_trees_matches_the_node_generator_in_order():
                 if arity >= 2:
                     assert KDyckPath(arity - 1, t.word).word == t.word
                 assert KAryTree(arity, t.root) == t
+    # one tree per size at arity 1, deeper than the reference can recurse
+    n = 3 * sys.getrecursionlimit()
+    assert [t.word for t in generate_trees(1, n)] == ["D" * n]
 
 
 # The recursive tree code the package used before its maps moved onto
