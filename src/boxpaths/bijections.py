@@ -13,6 +13,8 @@ from itertools import accumulate
 from .paths import (
     InvalidPathError,
     PathWord,
+    _ascent_defect,
+    _set_ascents,
     _trusted_word,
     box_ascents,
     classify,
@@ -23,6 +25,7 @@ from .trees import (
     KtDyckPath,
     TreeTuple,
     _augment,
+    _augmented_blocks,
     _strip_augmented,
     _unchecked,
     kdyck_to_tree,
@@ -147,15 +150,34 @@ def _level_parts(word: str, ascents: tuple[int, ...], k: int,
 
 def compose_box(dec: BoxDecomposition) -> PathWord:
     """Reassemble mu_1 U mu_2 U ... mu_(k+1) U D^k L from decomposition
-    parts; each part is checked block by block, the word with classify."""
+    parts; each part is checked block by block, the word with classify.
+
+    The word's ascents are the parts' blocks in turn: the U after each
+    part joins the first U-run of the next part that has one, and the Us
+    after the last such part make the final run.  A block's D^k L D lies
+    inside its part, so the word is not scanned again; the ascents are
+    kept on it when they meet the bounds, and classify reads them back.
+    """
     k = dec.k
     if k == 0:
         path = _trusted_word(_strip_augmented(dec.parts[0].word, 1))
         _check_box(path, 0)
         return path
+    ascents = []
+    # the Us since the last block
+    run = 0
     for part in dec.parts:
-        _strip_augmented(part.word, k + 1)
+        blocks = _augmented_blocks(part.word, k + 1)
+        if blocks:
+            ascents.append(run + blocks[0])
+            ascents += blocks[1:]
+            run = 0
+        run += 1
+    ascents.append(run)
     path = _trusted_word("".join(p.word + "U" for p in dec.parts) + "D" * k + "L")
+    ascents = tuple(ascents)
+    if _ascent_defect(k, ascents) is None:
+        _set_ascents(path, ascents)
     _check_box(path, k)
     return path
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, repeat
 from typing import Iterator
 
@@ -526,19 +526,16 @@ def generate_dyck(semilength: int) -> Iterator[PathWord]:
 def generate_k_box(k: int, n: int) -> Iterator[PathWord]:
     """Yield all k-box paths of size n in lexicographic word order.
 
-    The paths stream from an explicit stack of ascent prefixes, each word
-    concatenated from the template pieces U^a D^k L D and not validated
-    again.  Argument errors raise at the call, not at the first next().
+    The paths stream from an explicit stack of ascent prefixes; the last
+    few ascents come from a cached table of completions, and each prefix's
+    words are concatenated from the template pieces U^a D^k L D as one
+    batch, wrapped without being validated again.  Argument errors raise
+    at the call, not at the first next().
     """
     _check_box_args(k, n)
     if k == 0:
         return generate_dyck(n - 1)
-    inner = "D" * k + "L" + "D"
-    last = "D" * k + "L"
-    # an ascent is at most (k + 1) n, the last one at most k + 1
-    pieces = ["U" * a + inner for a in range((k + 1) * n + 1)]
-    finals = ["U" * a + last for a in range(k + 2)]
-    return map(_trusted_word, _ascent_walk(k, n, "", pieces, finals))
+    return chain.from_iterable(map(_trusted_batch, _box_batches(k, n, True)))
 
 
 def generate_box_ascents(k: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -547,8 +544,7 @@ def generate_box_ascents(k: int, n: int) -> Iterator[tuple[int, ...]]:
     box_ascents."""
     _check_box_args(k, n)
     # the virtual 0-box tuples obey the same bounds with k = 0
-    singles = [(a,) for a in range((k + 1) * n + 1)]
-    return _ascent_walk(k, n, (), singles, singles)
+    return chain.from_iterable(_box_batches(k, n, False))
 
 
 def _check_box_args(k: int, n: int) -> None:
@@ -558,23 +554,87 @@ def _check_box_args(k: int, n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
-def _ascent_walk(k: int, n: int, start, pieces, finals) -> Iterator:
-    """start + pieces[a_1] + ... + pieces[a_(n-1)] + finals[a_n] for every
-    ascent tuple of a k-box path of size n, tuples in descending order.
+# The box generators take the last ascents of every path from a table of
+# completions, as the skew generator takes its last steps, and build each
+# prefix's paths as one batch.  The table is as deep as this many entries
+# allow: five ascents at k = 1 (910 entries), four at k = 2 and 3 (721
+# and 2 005), fewer as k grows.
+_TAIL_BUDGET = 4096
 
-    The template puts D right after each run, so descending ascents are
-    ascending word order.
+
+def _ascent_range(k: int, r: int, slack: int) -> range:
+    """The values of the next ascent, largest first, with r ascents left
+    (this one among them) whose predecessors sum to `slack` more than
+    their bound (k+2)i.
+
+    The r ascents sum to (k+2)r - 1 - slack, so the last one is what is
+    left; every other leaves at least 1 for each later ascent and keeps
+    the prefix sum at or above its bound.  Placing a leaves slack
+    slack + a - (k+2), which is -1 after the last ascent.
     """
-    total = (k + 2) * n - 1
-    # (concatenation so far, ascents placed, their sum)
-    stack = [(start, 0, 0)]
+    rest = (k + 2) * r - 1 - slack
+    if r == 1:
+        return range(rest, rest - 1, -1)
+    return range(rest - r + 1, max(1, k + 2 - slack) - 1, -1)
+
+
+def _box_piece(k: int, words: bool, a: int, r: int) -> str | tuple[int]:
+    """Ascent a with r ascents left, as its template block U^a D^k L D
+    (U^a D^k L for the last one) or as the 1-tuple (a,)."""
+    if not words:
+        return (a,)
+    return "U" * a + "D" * k + ("LD" if r > 1 else "L")
+
+
+@lru_cache(maxsize=8)
+def _box_tails(k: int, words: bool) -> tuple[int, dict[tuple[int, int], list]]:
+    """(depth, tails): tails[(r, slack)] lists every way to place the last
+    r <= depth ascents, largest ascents first (see _ascent_range), as
+    concatenated pieces of _box_piece.
+
+    The depth is the largest whose levels 1..depth hold at most
+    _TAIL_BUDGET entries.  Each level is counted with integers before any
+    of it is built, so a large k builds no level it does not keep.  Built
+    bottom-up, once for each k and kind, and never changed after; only
+    the last few are kept, as the entries of a large k are long words.
+    """
+    counts = {(0, -1): 1}
+    size = depth = 0
+    while size <= _TAIL_BUDGET:
+        r = depth + 1
+        for slack in range((k + 1) * r):
+            counts[(r, slack)] = c = sum(
+                counts[(r - 1, slack + a - k - 2)]
+                for a in _ascent_range(k, r, slack))
+            size += c
+            if size > _TAIL_BUDGET:
+                break
+        else:
+            depth = r
+    tails = {(0, -1): ["" if words else ()]}
+    for r in range(1, depth + 1):
+        for slack in range((k + 1) * r):
+            batch = []
+            for a in _ascent_range(k, r, slack):
+                head = _box_piece(k, words, a, r)
+                batch += map(head.__add__, tails[(r - 1, slack + a - k - 2)])
+            tails[(r, slack)] = batch
+    return depth, tails
+
+
+def _box_batches(k: int, n: int, words: bool) -> Iterator[list]:
+    """The paths of size n as words (or their ascents as tuples), one list
+    per prefix whose completions come from the tail table."""
+    depth, tails = _box_tails(k, words)
+    # (concatenation so far, ascents left, slack of those placed)
+    stack = [("" if words else (), n, 0)]
     while stack:
-        prefix, i, placed = stack.pop()
-        if i == n - 1:
-            yield prefix + finals[total - placed]
+        prefix, r, slack = stack.pop()
+        if r <= depth:
+            yield list(map(prefix.__add__, tails[(r, slack)]))
             continue
-        # the largest ascent is pushed last, popped first
-        lo = max(1, (k + 2) * (i + 1) - placed)
-        hi = total - placed - (n - 1 - i)
-        for a in range(lo, hi + 1):
-            stack.append((prefix + pieces[a], i + 1, placed + a))
+        # the template puts D right after each run, so descending ascents
+        # are ascending word order: the largest is pushed last, popped first
+        for a in reversed(_ascent_range(k, r, slack)):
+            stack.append((prefix + _box_piece(k, words, a, r), r - 1,
+                          slack + a - k - 2))

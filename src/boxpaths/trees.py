@@ -431,15 +431,21 @@ def _augment(word: str, k: int) -> str:
     return word.replace("D", "U" + "D" * (k - 1) + "LD")
 
 
-def _strip_augmented(word: str, k: int) -> str:
-    """Inverse of _augment: blocks U^a D^(k-1) L D back to U^(a-1) D."""
-    tail = "D" * (k - 1) + "LD"
-    scan = _block_ascents(word, tail)
+def _augmented_blocks(word: str, k: int) -> tuple[int, ...]:
+    """The ascents a_i of an augmented k-Dyck word, blocks U^a D^(k-1) L D;
+    a malformed word is rejected with the index of its first bad block."""
+    scan = _block_ascents(word, "D" * (k - 1) + "LD")
     if isinstance(scan, int):
         raise InvalidPathError(
             f"not an augmented {k}-Dyck word: bad block at index {scan}")
+    return scan
+
+
+def _strip_augmented(word: str, k: int) -> str:
+    """Inverse of _augment: blocks U^a D^(k-1) L D back to U^(a-1) D."""
+    _augmented_blocks(word, k)
     # in a well-formed word, U + tail occurs only at the end of each block
-    return word.replace("U" + tail, "D")
+    return word.replace("U" + "D" * (k - 1) + "LD", "D")
 
 
 def kdyck_to_augmented(path: KDyckPath) -> PathWord:

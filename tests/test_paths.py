@@ -36,8 +36,10 @@ from boxpaths import (
 )
 from boxpaths.bijections import _require_box
 from boxpaths.paths import (
+    _TAIL_BUDGET,
     _TAIL_STEPS,
     _block_ascents,
+    _box_tails,
     _scan_skew,
     _skew_moves,
     _skew_tails,
@@ -633,6 +635,72 @@ def test_generate_box_ascents_follow_the_words():
         for n in range(1, 7):
             want = [box_ascents(p, k) for p in generate_k_box(k, n)]
             assert list(generate_box_ascents(k, n)) == want
+
+
+# The box generators' walk as it was before the tail table, one stack pop
+# and one concatenation per path; kept as the reference for their order.
+def _reference_ascent_walk(k, n, start, pieces, finals):
+    total = (k + 2) * n - 1
+    stack = [(start, 0, 0)]
+    while stack:
+        prefix, i, placed = stack.pop()
+        if i == n - 1:
+            yield prefix + finals[total - placed]
+            continue
+        lo = max(1, (k + 2) * (i + 1) - placed)
+        hi = total - placed - (n - 1 - i)
+        for a in range(lo, hi + 1):
+            stack.append((prefix + pieces[a], i + 1, placed + a))
+
+
+def test_box_generators_match_the_walk_in_order():
+    # sizes up to three past the table's depth, so batches come both from
+    # the whole table and from prefixes the walk builds
+    for k in range(6):
+        singles = [(a,) for a in range((k + 2) * 11)]
+        if k:
+            pieces = ["U" * a + "D" * k + "LD" for a in range((k + 2) * 11)]
+            finals = ["U" * a + "D" * k + "L" for a in range(k + 2)]
+        else:
+            # the Dyck word of the virtual tuple: U^(a-1) D for each part
+            # but the last, which is 1
+            pieces = ["U" * (a - 1) + "D" for a in range(13)]
+            finals = ["", ""]
+        for n in range(1, max(_box_tails(k, True)[0],
+                              _box_tails(k, False)[0]) + 4):
+            want = list(_reference_ascent_walk(k, n, (), singles, singles))
+            assert list(generate_box_ascents(k, n)) == want, (k, n)
+            want = list(_reference_ascent_walk(k, n, "", pieces, finals))
+            assert [p.word for p in generate_k_box(k, n)] == want, (k, n)
+
+
+def test_box_tail_table_stays_within_its_budget():
+    # level r of the table lists the last r ascents after every first
+    # ascent of a path of size r + 1, one entry per such path
+    for k in range(61):
+        sizes = [count_box(k, r + 1) for r in range(1, 10)]
+        for words in (True, False):
+            depth, tails = _box_tails(k, words)
+            held = sum(len(v) for (r, _), v in tails.items() if r >= 1)
+            assert held == sum(sizes[:depth]) <= _TAIL_BUDGET
+            assert sum(sizes[:depth + 1]) > _TAIL_BUDGET
+    assert [_box_tails(k, True)[0] for k in (1, 2, 3)] == [5, 4, 4]
+
+
+def test_box_generators_at_a_large_k_stay_small():
+    # a level over the budget is counted, never built; the paths of size 2
+    # are k + 1 words of about 4k letters
+    for k in (200, 1000):
+        _box_tails.cache_clear()
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in generate_k_box(k, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == k + 1
+        assert peak < 8 * 2**20, (k, peak)
+        assert sum(1 for _ in generate_box_ascents(k, 2)) == k + 1
 
 
 def test_generated_words_equal_validated_words():
