@@ -589,8 +589,7 @@ def _box_piece(k: int, words: bool, a: int, r: int) -> str | tuple[int]:
 @lru_cache(maxsize=8)
 def _box_tails(k: int, words: bool) -> tuple[int, dict[tuple[int, int], list]]:
     """(depth, tails): tails[(r, slack)] lists every way to place the last
-    r <= depth ascents, largest ascents first (see _ascent_range), as
-    concatenated pieces of _box_piece.
+    r <= depth ascents, as _box_completions gives them.
 
     The depth is the largest whose levels 1..depth hold at most
     _TAIL_BUDGET entries.  Each level is counted with integers before any
@@ -611,27 +610,41 @@ def _box_tails(k: int, words: bool) -> tuple[int, dict[tuple[int, int], list]]:
                 break
         else:
             depth = r
-    tails = {(0, -1): ["" if words else ()]}
+    empty = "" if words else ()
+    tails = {(0, -1): [empty]}
     for r in range(1, depth + 1):
         for slack in range((k + 1) * r):
-            batch = []
-            for a in _ascent_range(k, r, slack):
-                head = _box_piece(k, words, a, r)
-                batch += map(head.__add__, tails[(r - 1, slack + a - k - 2)])
-            tails[(r, slack)] = batch
+            tails[(r, slack)] = _box_completions(k, words, tails, empty, r, slack)
     return depth, tails
+
+
+def _box_completions(k: int, words: bool, tails: dict, prefix, r: int,
+                     slack: int) -> list:
+    """prefix followed by every way to place the last r ascents, largest
+    ascents first (see _ascent_range), each next ascent's _box_piece
+    followed by the completions of the r - 1 after it in tails."""
+    batch = []
+    for a in _ascent_range(k, r, slack):
+        head = prefix + _box_piece(k, words, a, r)
+        batch += map(head.__add__, tails[(r - 1, slack + a - k - 2)])
+    return batch
 
 
 def _box_batches(k: int, n: int, words: bool) -> Iterator[list]:
     """The paths of size n as words (or their ascents as tuples), one list
-    per prefix whose completions come from the tail table."""
+    for each prefix that leaves at most depth + 1 ascents to place.
+
+    A batch places one more ascent than the table holds: at a large k the
+    table is one ascent deep, and its entries alone would make batches
+    of one path.
+    """
     depth, tails = _box_tails(k, words)
     # (concatenation so far, ascents left, slack of those placed)
     stack = [("" if words else (), n, 0)]
     while stack:
         prefix, r, slack = stack.pop()
-        if r <= depth:
-            yield list(map(prefix.__add__, tails[(r, slack)]))
+        if r <= depth + 1:
+            yield _box_completions(k, words, tails, prefix, r, slack)
             continue
         # the template puts D right after each run, so descending ascents
         # are ascending word order: the largest is pushed last, popped first
