@@ -632,18 +632,20 @@ def _box_completions(k: int, words: bool, tails: dict, prefix, r: int,
 
 def _box_batches(k: int, n: int, words: bool) -> Iterator[list]:
     """The paths of size n as words (or their ascents as tuples), one list
-    for each prefix that leaves at most depth + 1 ascents to place.
+    per prefix whose completions come from the tail table.
 
-    A batch places one more ascent than the table holds: at a large k the
-    table is one ascent deep, and its entries alone would make batches
-    of one path.
+    At a large k the table is one ascent deep, and each of its entries is
+    a single path; there a batch also places the ascent before them.
     """
     depth, tails = _box_tails(k, words)
     # (concatenation so far, ascents left, slack of those placed)
     stack = [("" if words else (), n, 0)]
     while stack:
         prefix, r, slack = stack.pop()
-        if r <= depth + 1:
+        if r <= depth:
+            yield list(map(prefix.__add__, tails[(r, slack)]))
+            continue
+        if r == depth + 1 and depth <= 1:
             yield _box_completions(k, words, tails, prefix, r, slack)
             continue
         # the template puts D right after each run, so descending ascents
