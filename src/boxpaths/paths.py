@@ -22,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import chain, repeat
+from math import comb
 from typing import Iterator
 
 
@@ -556,10 +557,10 @@ def _check_box_args(k: int, n: int) -> None:
 
 # The box generators take the last ascents of every path from a table of
 # completions, as the skew generator takes its last steps, and build each
-# prefix's paths as one batch.  The table is as deep as this many entries
-# allow: five ascents at k = 1 (910 entries), four at k = 2 and 3 (721
-# and 2 005), fewer as k grows.
-_TAIL_BUDGET = 4096
+# prefix's paths as one batch, one ascent above the table.  The table is as
+# deep as this many entries allow: four ascents at k = 1 (182 entries),
+# three at k = 2 and 3 (109 and 234), one from k = 17 and none from k = 512.
+_TAIL_BUDGET = 512
 
 
 def _ascent_range(k: int, r: int, slack: int) -> range:
@@ -578,12 +579,17 @@ def _ascent_range(k: int, r: int, slack: int) -> range:
     return range(rest - r + 1, max(1, k + 2 - slack) - 1, -1)
 
 
-def _box_piece(k: int, words: bool, a: int, r: int) -> str | tuple[int]:
-    """Ascent a with r ascents left, as its template block U^a D^k L D
-    (U^a D^k L for the last one) or as the 1-tuple (a,)."""
+def _box_blocks(k: int, words: bool, n: int) -> tuple[list, list]:
+    """(finals, blocks): ascent a as the last ascent and as any other, for
+    every a a path of size n can have; as its template block, U^a D^k L
+    for the last and U^a D^k L D for any other, or as the 1-tuple (a,)."""
+    # an ascent is at most (k + 1) n, the last one at most k + 1
     if not words:
-        return (a,)
-    return "U" * a + "D" * k + ("LD" if r > 1 else "L")
+        singles = [(a,) for a in range((k + 1) * n + 1)]
+        return singles, singles
+    last = "D" * k + "L"
+    return (["U" * a + last for a in range(k + 2)],
+            ["U" * a + last + "D" for a in range((k + 1) * n + 1)])
 
 
 @lru_cache(maxsize=8)
@@ -591,65 +597,56 @@ def _box_tails(k: int, words: bool) -> tuple[int, dict[tuple[int, int], list]]:
     """(depth, tails): tails[(r, slack)] lists every way to place the last
     r <= depth ascents, as _box_completions gives them.
 
-    The depth is the largest whose levels 1..depth hold at most
-    _TAIL_BUDGET entries.  Each level is counted with integers before any
-    of it is built, so a large k builds no level it does not keep.  Built
-    bottom-up, once for each k and kind, and never changed after; only
-    the last few are kept, as the entries of a large k are long words.
+    Level r holds one entry per path of size r + 1 (its first ascent
+    dropped), count_box(k, r + 1) of them, so the depth, the largest whose
+    levels 1..depth hold at most _TAIL_BUDGET entries, is found before any
+    level is built.  Built bottom-up, once for each k and kind, and never
+    changed after; only the last few are kept, as the entries of a large k
+    are long words.
     """
-    counts = {(0, -1): 1}
-    size = depth = 0
-    while size <= _TAIL_BUDGET:
-        r = depth + 1
-        for slack in range((k + 1) * r):
-            counts[(r, slack)] = c = sum(
-                counts[(r - 1, slack + a - k - 2)]
-                for a in _ascent_range(k, r, slack))
-            size += c
-            if size > _TAIL_BUDGET:
-                break
-        else:
-            depth = r
+    depth = size = 0
+    while True:
+        m = (k + 2) * (depth + 2) - 1
+        size += comb(m, depth + 2) // m
+        if size > _TAIL_BUDGET:
+            break
+        depth += 1
     empty = "" if words else ()
     tails = {(0, -1): [empty]}
+    blocks = _box_blocks(k, words, depth) if depth else None
     for r in range(1, depth + 1):
         for slack in range((k + 1) * r):
-            tails[(r, slack)] = _box_completions(k, words, tails, empty, r, slack)
+            tails[(r, slack)] = _box_completions(k, tails, blocks, empty, r, slack)
     return depth, tails
 
 
-def _box_completions(k: int, words: bool, tails: dict, prefix, r: int,
-                     slack: int) -> list:
+def _box_completions(k: int, tails: dict, blocks: tuple[list, list], prefix,
+                     r: int, slack: int) -> list:
     """prefix followed by every way to place the last r ascents, largest
-    ascents first (see _ascent_range), each next ascent's _box_piece
-    followed by the completions of the r - 1 after it in tails."""
+    ascents first (see _ascent_range), each next ascent's block from
+    _box_blocks followed by the completions of the r - 1 after it in
+    tails."""
+    block = blocks[r > 1]
     batch = []
     for a in _ascent_range(k, r, slack):
-        head = prefix + _box_piece(k, words, a, r)
+        head = prefix + block[a]
         batch += map(head.__add__, tails[(r - 1, slack + a - k - 2)])
     return batch
 
 
 def _box_batches(k: int, n: int, words: bool) -> Iterator[list]:
     """The paths of size n as words (or their ascents as tuples), one list
-    per prefix whose completions come from the tail table.
-
-    At a large k the table is one ascent deep, and each of its entries is
-    a single path; there a batch also places the ascent before them.
-    """
+    per prefix with at most one ascent more than the tail table holds."""
     depth, tails = _box_tails(k, words)
+    blocks = _box_blocks(k, words, n)
     # (concatenation so far, ascents left, slack of those placed)
     stack = [("" if words else (), n, 0)]
     while stack:
         prefix, r, slack = stack.pop()
-        if r <= depth:
-            yield list(map(prefix.__add__, tails[(r, slack)]))
-            continue
-        if r == depth + 1 and depth <= 1:
-            yield _box_completions(k, words, tails, prefix, r, slack)
+        if r <= depth + 1:
+            yield _box_completions(k, tails, blocks, prefix, r, slack)
             continue
         # the template puts D right after each run, so descending ascents
         # are ascending word order: the largest is pushed last, popped first
         for a in reversed(_ascent_range(k, r, slack)):
-            stack.append((prefix + _box_piece(k, words, a, r), r - 1,
-                          slack + a - k - 2))
+            stack.append((prefix + blocks[1][a], r - 1, slack + a - k - 2))

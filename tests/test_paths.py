@@ -655,41 +655,47 @@ def _reference_ascent_walk(k, n, start, pieces, finals):
 
 def test_box_generators_match_the_walk_in_order():
     # sizes up to three past the table's depth, so batches come both from
-    # the whole table and from prefixes the walk builds
-    for k in range(6):
-        singles = [(a,) for a in range((k + 2) * 11)]
+    # the whole table and from prefixes the walk builds; k = 17 and 20 have
+    # a table one ascent deep, k = 512 an empty one
+    cases = [(k, n) for k in range(6)
+             for n in range(1, max(_box_tails(k, True)[0],
+                                   _box_tails(k, False)[0]) + 4)]
+    cases += [(k, n) for k in (17, 20) for n in (1, 2, 3)]
+    cases += [(512, 1), (512, 2)]
+    for k, n in cases:
+        top = (k + 1) * n + 1
+        singles = [(a,) for a in range(top)]
         if k:
-            pieces = ["U" * a + "D" * k + "LD" for a in range((k + 2) * 11)]
+            pieces = ["U" * a + "D" * k + "LD" for a in range(top)]
             finals = ["U" * a + "D" * k + "L" for a in range(k + 2)]
         else:
             # the Dyck word of the virtual tuple: U^(a-1) D for each part
             # but the last, which is 1
-            pieces = ["U" * (a - 1) + "D" for a in range(13)]
+            pieces = [""] + ["U" * (a - 1) + "D" for a in range(1, top)]
             finals = ["", ""]
-        for n in range(1, max(_box_tails(k, True)[0],
-                              _box_tails(k, False)[0]) + 4):
-            want = list(_reference_ascent_walk(k, n, (), singles, singles))
-            assert list(generate_box_ascents(k, n)) == want, (k, n)
-            want = list(_reference_ascent_walk(k, n, "", pieces, finals))
-            assert [p.word for p in generate_k_box(k, n)] == want, (k, n)
+        want = list(_reference_ascent_walk(k, n, (), singles, singles))
+        assert list(generate_box_ascents(k, n)) == want, (k, n)
+        want = list(_reference_ascent_walk(k, n, "", pieces, finals))
+        assert [p.word for p in generate_k_box(k, n)] == want, (k, n)
 
 
 def test_box_tail_table_stays_within_its_budget():
     # level r of the table lists the last r ascents after every first
     # ascent of a path of size r + 1, one entry per such path
-    for k in range(61):
+    for k in [*range(61), 511, 512]:
         sizes = [count_box(k, r + 1) for r in range(1, 10)]
         for words in (True, False):
             depth, tails = _box_tails(k, words)
             held = sum(len(v) for (r, _), v in tails.items() if r >= 1)
             assert held == sum(sizes[:depth]) <= _TAIL_BUDGET
             assert sum(sizes[:depth + 1]) > _TAIL_BUDGET
-    assert [_box_tails(k, True)[0] for k in (1, 2, 3)] == [5, 4, 4]
+    depths = [_box_tails(k, True)[0] for k in (1, 2, 3, 16, 17, 511, 512)]
+    assert depths == [4, 3, 3, 2, 1, 1, 0]
 
 
 def test_box_generators_at_a_large_k_stay_small():
-    # a level over the budget is counted, never built; the paths of size 2
-    # are k + 1 words of about 4k letters
+    # a level over the budget is never built; the paths of size 2 are
+    # k + 1 words of about 4k letters
     for k in (200, 1000):
         _box_tails.cache_clear()
         tracemalloc.start()
