@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from itertools import chain, repeat
 from math import comb
 from typing import Iterator
@@ -528,10 +528,10 @@ def generate_k_box(k: int, n: int) -> Iterator[PathWord]:
     """Yield all k-box paths of size n in lexicographic word order.
 
     The paths stream from an explicit stack of ascent prefixes; the last
-    few ascents come from a cached table of completions, and each prefix's
-    words are concatenated from the template pieces U^a D^k L D as one
-    batch, wrapped without being validated again.  Argument errors raise
-    at the call, not at the first next().
+    few ascents come from a table of completions, and each prefix's words
+    are concatenated from the template pieces U^a D^k L D as one batch,
+    wrapped without being validated again.  Argument errors raise at the
+    call, not at the first next().
     """
     _check_box_args(k, n)
     if k == 0:
@@ -592,28 +592,24 @@ def _box_blocks(k: int, words: bool, n: int) -> tuple[list, list]:
             ["U" * a + last + "D" for a in range((k + 1) * n + 1)])
 
 
-@lru_cache(maxsize=8)
-def _box_tails(k: int, words: bool) -> tuple[int, dict[tuple[int, int], list]]:
+def _box_tails(k: int, blocks: tuple[list, list], empty,
+               top: int) -> tuple[int, dict[tuple[int, int], list]]:
     """(depth, tails): tails[(r, slack)] lists every way to place the last
-    r <= depth ascents, as _box_completions gives them.
+    r <= depth ascents, as _box_completions gives them from blocks.
 
     Level r holds one entry per path of size r + 1 (its first ascent
-    dropped), count_box(k, r + 1) of them, so the depth, the largest whose
-    levels 1..depth hold at most _TAIL_BUDGET entries, is found before any
-    level is built.  Built bottom-up, once for each k and kind, and never
-    changed after; only the last few are kept, as the entries of a large k
-    are long words.
+    dropped), count_box(k, r + 1) of them, so the depth, the largest up to
+    top whose levels 1..depth hold at most _TAIL_BUDGET entries, is found
+    before any level is built.
     """
     depth = size = 0
-    while True:
+    while depth < top:
         m = (k + 2) * (depth + 2) - 1
         size += comb(m, depth + 2) // m
         if size > _TAIL_BUDGET:
             break
         depth += 1
-    empty = "" if words else ()
     tails = {(0, -1): [empty]}
-    blocks = _box_blocks(k, words, depth) if depth else None
     for r in range(1, depth + 1):
         for slack in range((k + 1) * r):
             tails[(r, slack)] = _box_completions(k, tails, blocks, empty, r, slack)
@@ -636,11 +632,17 @@ def _box_completions(k: int, tails: dict, blocks: tuple[list, list], prefix,
 
 def _box_batches(k: int, n: int, words: bool) -> Iterator[list]:
     """The paths of size n as words (or their ascents as tuples), one list
-    per prefix with at most one ascent more than the tail table holds."""
-    depth, tails = _box_tails(k, words)
+    per prefix with at most one ascent more than the tail table holds.
+
+    The table is built for the call and kept by nothing else.  It is at
+    most n - 2 ascents deep: level n - 1 would hold as many entries as
+    the call has paths.
+    """
     blocks = _box_blocks(k, words, n)
+    empty = "" if words else ()
+    depth, tails = _box_tails(k, blocks, empty, n - 2)
     # (concatenation so far, ascents left, slack of those placed)
-    stack = [("" if words else (), n, 0)]
+    stack = [(empty, n, 0)]
     while stack:
         prefix, r, slack = stack.pop()
         if r <= depth + 1:

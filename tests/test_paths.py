@@ -39,6 +39,7 @@ from boxpaths.paths import (
     _TAIL_BUDGET,
     _TAIL_STEPS,
     _block_ascents,
+    _box_blocks,
     _box_tails,
     _scan_skew,
     _skew_moves,
@@ -658,8 +659,7 @@ def test_box_generators_match_the_walk_in_order():
     # the whole table and from prefixes the walk builds; k = 17 and 20 have
     # a table one ascent deep, k = 512 an empty one
     cases = [(k, n) for k in range(6)
-             for n in range(1, max(_box_tails(k, True)[0],
-                                   _box_tails(k, False)[0]) + 4)]
+             for n in range(1, _box_depth(k, True) + 4)]
     cases += [(k, n) for k in (17, 20) for n in (1, 2, 3)]
     cases += [(512, 1), (512, 2)]
     for k, n in cases:
@@ -679,25 +679,42 @@ def test_box_generators_match_the_walk_in_order():
         assert [p.word for p in generate_k_box(k, n)] == want, (k, n)
 
 
-def test_box_tail_table_stays_within_its_budget():
+def _box_depth(k, words, top=9):
+    blocks = _box_blocks(k, words, top + 2)
+    return _box_tails(k, blocks, "" if words else (), top)[0]
+
+
+def test_box_tail_table_stays_within_its_budget(monkeypatch):
     # level r of the table lists the last r ascents after every first
     # ascent of a path of size r + 1, one entry per such path
     for k in [*range(61), 511, 512]:
         sizes = [count_box(k, r + 1) for r in range(1, 10)]
         for words in (True, False):
-            depth, tails = _box_tails(k, words)
+            blocks = _box_blocks(k, words, 11)
+            depth, tails = _box_tails(k, blocks, "" if words else (), 9)
             held = sum(len(v) for (r, _), v in tails.items() if r >= 1)
             assert held == sum(sizes[:depth]) <= _TAIL_BUDGET
             assert sum(sizes[:depth + 1]) > _TAIL_BUDGET
-    depths = [_box_tails(k, True)[0] for k in (1, 2, 3, 16, 17, 511, 512)]
+    depths = [_box_depth(k, True) for k in (1, 2, 3, 16, 17, 511, 512)]
     assert depths == [4, 3, 3, 2, 1, 1, 0]
+    # a call of size n builds no level as large as its own output
+    built = []
+
+    def recorded(*args):
+        depth, tails = _box_tails(*args)
+        built.append(depth)
+        return depth, tails
+
+    monkeypatch.setattr("boxpaths.paths._box_tails", recorded)
+    for n in range(1, 8):
+        list(generate_k_box(1, n))
+    assert built == [0, 0, 1, 2, 3, 4, 4]
 
 
 def test_box_generators_at_a_large_k_stay_small():
     # a level over the budget is never built; the paths of size 2 are
     # k + 1 words of about 4k letters
     for k in (200, 1000):
-        _box_tails.cache_clear()
         tracemalloc.start()
         try:
             count = sum(1 for _ in generate_k_box(k, 2))
