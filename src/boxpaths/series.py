@@ -18,13 +18,20 @@ coefficients alone (R after moving (1 - x^2) R - R to the right-hand side).
 The solvers therefore hold a series as a list of x-columns, each a
 polynomial in t, and compute every column once, from the columns below it,
 with online products (van der Hoeven, "Relax, but don't be too lazy", 2002).
-BiSeries arithmetic is a separate code path on full truncated products; the
-*_residual functions use it to check what the solvers return.
+A product packs each factor column into one int, coefficient j at bit j*w
+(Kronecker substitution), so its column n is a sum of n + 1 big-int
+products, read back as T + 1 signed base-2^w digits.  The width w bounds
+every digit of the sum, from the running maxima of the factors'
+coefficients; past _PACK_BITS bits the product multiplies coefficient by
+coefficient instead.  BiSeries arithmetic is a separate code path on full
+truncated products; the *_residual functions use it to check what the
+solvers return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 
 def _integer(value) -> int:
@@ -181,7 +188,8 @@ class _Columns:
     a list of ints truncated at t^T with no trailing zeros.  `rule(n)`
     returns column n and may read only columns below n of this series, and
     columns up to n of the series it is built from; each column is computed
-    on first use and kept."""
+    on first use and kept.  The rule of a product is a _Product, which keeps
+    its factors' columns packed into ints."""
 
     def __init__(self, T: int, rule):
         self.T = T
@@ -199,21 +207,7 @@ class _Columns:
 
     def __mul__(self, other: "_Columns") -> "_Columns":
         """Online product: column n is the sum of a[i] b[n-i], i = 0..n."""
-        T = self.T
-
-        def column(n: int) -> list[int]:
-            out = [0] * (T + 1)
-            for i in range(n + 1):
-                q = other[n - i]
-                if not q:
-                    continue
-                for di, c in enumerate(self[i]):
-                    if c:
-                        for dj, d in enumerate(q[:T + 1 - di], di):
-                            out[dj] += c * d
-            return _trim(out)
-
-        return _Columns(T, column)
+        return _Columns(self.T, _Product(self, other))
 
     def power(self, e: int) -> "_Columns":
         """self^e, each power the product of the one below and self."""
@@ -228,6 +222,103 @@ class _Columns:
         T = self.T
         cols = [(self[n] + [0] * (T + 1))[:T + 1] for n in range(x_order + 1)]
         return BiSeries(T, x_order, tuple(zip(*cols)))
+
+
+# A product packs its columns while a packed coefficient needs at most this
+# many bits, and runs the coefficient loop past it: a packed product also
+# computes the t^(T+1)..t^(2T) half that the loop skips, and wide digits make
+# that half cost more than the loop's Python overhead saves.  Set from timed
+# solves at orders (21, 59), (51, 100) and (101, 200).
+_PACK_BITS = 384
+# Bits added to the width a repack needs, so that repacks are rare.
+_PACK_SLACK = 32
+
+
+def _pack(poly: list[int], width: int) -> int:
+    """poly evaluated at t = 2^width."""
+    value = 0
+    for c in reversed(poly):
+        value = (value << width) + c
+    return value
+
+
+def _bit_length(poly: list[int]) -> int:
+    """Bit length of the largest |coefficient| of poly."""
+    return max(max(poly), -min(poly)).bit_length() if poly else 0
+
+
+def _loop_product(a: _Columns, b: _Columns, n: int) -> list[int]:
+    """Column n of a * b, coefficient by coefficient."""
+    T = a.T
+    out = [0] * (T + 1)
+    for i in range(n + 1):
+        q = b[n - i]
+        if not q:
+            continue
+        for di, c in enumerate(a[i]):
+            if c:
+                for dj, d in enumerate(q[:T + 1 - di], di):
+                    out[dj] += c * d
+    return _trim(out)
+
+
+class _Product:
+    """The rule of the online product a * b, by Kronecker substitution.
+
+    Every factor column is packed as one int, its value at t = 2^w, and
+    column n is the sum of the n + 1 int products A[i] B[n-i].  Digit j of
+    that sum in base 2^w is the t^j coefficient, provided every coefficient
+    has |c| < 2^(w-1); the digits above t^T and their carries only add
+    multiples of 2^((T+1)w), so one masked, signed-digit read gives the
+    column.  The width w comes from the running maxima of the factors'
+    coefficient bit lengths: bits(a) + bits(b) + bits(n+1) + bits(T+1) + 1.
+    When that outgrows w, both factors are packed again, _PACK_SLACK bits
+    wider; once it passes _PACK_BITS, this and every later column (the
+    bound never shrinks) run the coefficient loop instead.  When a is b,
+    as in R * R, the two packed lists are one."""
+
+    def __init__(self, a: _Columns, b: _Columns):
+        self.a, self.b = a, b
+        self.packed_a: list[int] = []
+        self.packed_b = self.packed_a if a is b else []
+        self.bits_a = self.bits_b = 0
+        self.width = 0
+
+    def _repack(self, width: int, n: int) -> None:
+        """Pack columns 0..n of both factors at `width` bits a coefficient."""
+        a, b, T = self.a, self.b, self.a.T
+        self.packed_a[:] = [_pack(a[i], width) for i in range(n + 1)]
+        if b is not a:
+            self.packed_b[:] = [_pack(b[i], width) for i in range(n + 1)]
+        self.width = width
+        self.shifts = range(0, (T + 1) * width, width)
+        self.half = 1 << (width - 1)
+        self.bias = _pack([self.half] * (T + 1), width)
+        self.digit_mask = (1 << width) - 1
+        self.low_mask = (1 << ((T + 1) * width)) - 1
+
+    def __call__(self, n: int) -> list[int]:
+        a, b, T = self.a, self.b, self.a.T
+        if self.width is None:
+            return _loop_product(a, b, n)
+        col_a, col_b = a[n], b[n]
+        self.bits_a = max(self.bits_a, _bit_length(col_a))
+        self.bits_b = max(self.bits_b, _bit_length(col_b))
+        need = (self.bits_a + self.bits_b + (n + 1).bit_length()
+                + (T + 1).bit_length() + 1)
+        if need > _PACK_BITS:
+            self.width = self.packed_a = self.packed_b = None
+            return _loop_product(a, b, n)
+        if need > self.width:
+            self._repack(min(_PACK_BITS, need + _PACK_SLACK), n)
+        else:
+            self.packed_a.append(_pack(col_a, self.width))
+            if b is not a:
+                self.packed_b.append(_pack(col_b, self.width))
+        total = sum(map(mul, self.packed_a, reversed(self.packed_b)))
+        low = (total + self.bias) & self.low_mask
+        half, mask = self.half, self.digit_mask
+        return _trim([(low >> s & mask) - half for s in self.shifts])
 
 
 def _combine(*terms: tuple[int, list[int]]) -> list[int]:

@@ -443,6 +443,16 @@ def test_bfile_skew_counts(capsys):
     assert values == [1, 3, 10, 36, 137, 543, 2219, 9285]
 
 
+def test_bfile_skew_counts_follow_the_a002212_recurrence(capsys):
+    # (n + 1) a(n) = 3 (2n - 1) a(n - 1) - 5 (n - 2) a(n - 2): a derivation
+    # independent of the cubic the series solver uses
+    code, out, err = run(capsys, "bfile", "--sequence", "skew-counts", "--count", "100")
+    want = [1, 1]
+    for n in range(2, 101):
+        want.append((3 * (2 * n - 1) * want[-1] - 5 * (n - 2) * want[-2]) // (n + 1))
+    assert (code, out, err) == (0, bfile_text(want[1:]), "")
+
+
 def test_bfile_long_ascent_diagonal_is_catalan(capsys):
     code, out, _ = run(
         capsys,

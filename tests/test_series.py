@@ -1,10 +1,12 @@
 """Truncated bivariate series: arithmetic, the five equations, coefficients."""
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from boxpaths import series
 from boxpaths import (
     BiSeries,
     augmented_long_ascent_residual,
@@ -169,6 +171,59 @@ def test_long_ascent_and_returns_series_deep():
                 if (k, n, j) != (0, 1, 1):  # the degenerate cell, see below
                     assert F.coefficient(j, n) == count_box_by_long_ascents(k, n, j)
                 assert H.coefficient(j, n) == count_box_by_returns(k, n, j)
+
+
+def _all_solves(T, X):
+    out = [solve_skew_dyck_series(T, X)]
+    for k in range(3):
+        out += [tree_series(k + 2, X, T), augmented_long_ascent_series(k + 1, T, X),
+                long_ascent_series(k, T, X), returns_series(k, T, X)]
+    return out
+
+
+def test_packed_and_looped_products_agree(monkeypatch):
+    # 0 runs the coefficient loop on every column, 10**9 packs every column,
+    # and at 100 bits every solver's products switch from one to the other
+    # part way through (13, 40)
+    T, X = 13, 40
+    monkeypatch.setattr(series, "_PACK_BITS", 0)
+    want = _all_solves(T, X)
+    for bits in (100, 10**9):
+        monkeypatch.setattr(series, "_PACK_BITS", bits)
+        assert _all_solves(T, X) == want
+
+
+@pytest.mark.parametrize("bits", [0, 40, 10**9])
+def test_packed_product_of_signed_columns(monkeypatch, bits):
+    # with no slack the width is exactly the bound, which the full columns
+    # of equal negative coefficients reach: every digit sums the most terms
+    monkeypatch.setattr(series, "_PACK_BITS", bits)
+    monkeypatch.setattr(series, "_PACK_SLACK", 0)
+    rng = random.Random(bits)
+    T, X = 5, 12
+    # coefficients of up to 3n bits in column n, some zero, some columns empty
+    cols = [[_trim_zeros([rng.randint(-8**n, 8**n) * rng.randint(0, 1)
+                          for _ in range(rng.randint(0, T + 1))])
+             for n in range(X + 1)] for _ in range(2)]
+    a = series._Columns(T, lambda n: cols[0][n])
+    b = series._Columns(T, lambda n: cols[1][n])
+    full = series._Columns(T, lambda n: [1 - 2**30] * (T + 1))
+    for x, y in ((a, b), (a, a), (full, full)):
+        got = x * y
+        for n in range(X + 1):
+            want = [0] * (T + 1)
+            for i in range(n + 1):
+                for j1, c in enumerate(x[i]):
+                    for j2, d in enumerate(y[n - i]):
+                        if j1 + j2 <= T:
+                            want[j1 + j2] += c * d
+            assert got[n] == _trim_zeros(want)
+
+
+def _trim_zeros(poly):
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
 
 
 def test_tree_series_coefficients():
