@@ -307,7 +307,20 @@ def _check_ascents(k: int, parts: tuple[int, ...]) -> None:
 
 
 def _ascent_defect(k: int, parts: tuple[int, ...]) -> str | None:
-    """What _check_ascents rejects parts for, or None if it accepts them."""
+    """What _check_ascents rejects parts for, or None if it accepts them.
+
+    One pass accepts: the height sum(a - (k + 2)) of every proper prefix is
+    at least 0 and the whole tuple ends at -1.  Only a rejection runs the
+    indexed checks below, which word it."""
+    step = k + 2
+    height = 0
+    for a in parts:
+        if height < 0:
+            break
+        height += a - step
+    else:
+        if height == -1 and min(parts) > 0:
+            return None
     n = len(parts)
     if n == 0:
         return "composition must have at least one part"
