@@ -225,10 +225,10 @@ class _Columns:
 
 
 # A product packs its columns while a packed coefficient needs at most this
-# many bits, and runs the coefficient loop past it: a packed product also
-# computes the t^(T+1)..t^(2T) half that the loop skips, and wide digits make
-# that half cost more than the loop's Python overhead saves.  Set from timed
-# solves at orders (21, 59), (51, 100) and (101, 200).
+# many bits, and runs the coefficient loop past it: packed ints carry every
+# coefficient at the width of the largest, and digits above t^T that the loop
+# skips, which past this width costs more than the loop's Python overhead.
+# Set from timed solves at orders (21, 59), (51, 100) and (101, 200).
 _PACK_BITS = 384
 # Bits added to the width a repack needs, so that repacks are rare.
 _PACK_SLACK = 32

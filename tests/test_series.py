@@ -202,7 +202,7 @@ def test_packed_product_of_signed_columns(monkeypatch, bits):
     rng = random.Random(bits)
     T, X = 5, 12
     # coefficients of up to 3n bits in column n, some zero, some columns empty
-    cols = [[_trim_zeros([rng.randint(-8**n, 8**n) * rng.randint(0, 1)
+    cols = [[series._trim([rng.randint(-8**n, 8**n) * rng.randint(0, 1)
                           for _ in range(rng.randint(0, T + 1))])
              for n in range(X + 1)] for _ in range(2)]
     a = series._Columns(T, lambda n: cols[0][n])
@@ -217,13 +217,7 @@ def test_packed_product_of_signed_columns(monkeypatch, bits):
                     for j2, d in enumerate(y[n - i]):
                         if j1 + j2 <= T:
                             want[j1 + j2] += c * d
-            assert got[n] == _trim_zeros(want)
-
-
-def _trim_zeros(poly):
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
+            assert got[n] == series._trim(want)
 
 
 def test_tree_series_coefficients():
