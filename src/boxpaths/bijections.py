@@ -9,13 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 
 from .paths import (
     InvalidPathError,
     PathWord,
     _ascent_defect,
+    _box_word,
     _set_ascents,
     _trusted_word,
+    _unchecked,
     box_ascents,
     classify,
     path_of_composition,  # noqa: F401  (no map here calls it; the bench tracer wraps it)
@@ -27,7 +30,6 @@ from .trees import (
     _augment,
     _augmented_blocks,
     _strip_augmented,
-    _unchecked,
     kdyck_to_tree,
     tree_to_kdyck,  # noqa: F401  (no map here calls it; the bench tracer wraps it)
 )
@@ -121,7 +123,8 @@ def decompose_box(path: PathWord, k: int) -> BoxDecomposition:
         return BoxDecomposition(0, (_trusted_word(_augment(path.word, 1)),))
     # block i of the word is U^(a_i) D^k L D
     parts = _level_parts(path.word, ascents, k, k + 2)
-    return BoxDecomposition(k, tuple(map(_trusted_word, parts)))
+    return _unchecked(BoxDecomposition, k=k,
+                      parts=tuple(map(_trusted_word, parts)))
 
 
 def _level_parts(word: str, ascents: tuple[int, ...], k: int,
@@ -191,7 +194,7 @@ def box_to_tree_tuple(path: PathWord, k: int) -> TreeTuple:
     """
     ascents = _require_box(path, k)
     # block i of the prefix is U^(a_i - 1) D
-    parts = _level_parts(_dyck_prefix(ascents), ascents, k, 0)
+    parts = _level_parts(_prefix_of_box(path.word, k), ascents, k, 0)
     return TreeTuple(tuple(
         kdyck_to_tree(_unchecked(KDyckPath, k=k + 1, word=word))
         for word in parts))
@@ -210,12 +213,17 @@ def tree_tuple_to_box(tup: TreeTuple, k: int) -> PathWord:
 def box_to_dyck_prefix(path: PathWord, k: int) -> str:
     """Intermediate of the k_t map: U^(a1-1) D U^(a2-1) ... U^(an-1) over
     {U, D} with D = (k+1,-(k+1)), a (k+1)-Dyck prefix ending at height k."""
-    return _dyck_prefix(box_ascents(path, k))
+    box_ascents(path, k)  # accepts the word or raises
+    return _prefix_of_box(path.word, k)
 
 
-def _dyck_prefix(ascents: tuple[int, ...]) -> str:
-    """box_to_dyck_prefix of the box path with these ascents."""
-    return "D".join(["U" * (a - 1) for a in ascents])
+def _prefix_of_box(word: str, k: int) -> str:
+    """box_to_dyck_prefix of an accepted k-box word: the final U D^k L
+    dropped and each U D^k L D, which occurs only at a block's end, made
+    one D; a 0-box word is its own prefix."""
+    if k == 0:
+        return word
+    return word[:-k - 2].replace("U" + "D" * k + "LD", "D")
 
 
 def _box_of_prefix(prefix: str, k: int) -> PathWord:
@@ -261,8 +269,7 @@ def threshold_to_box(seq: ThresholdSequence) -> PathWord:
                          f"got k={seq.k} slack={seq.slack}")
     n = len(seq.entries) + 1
     bounds = seq.entries + ((k + 2) * n - 1,)
-    parts = tuple(b - a for a, b in zip((0,) + seq.entries, bounds))
-    return _box_of_prefix(_dyck_prefix(parts), k)
+    return _box_word(map(sub, bounds, (0,) + seq.entries), k)
 
 
 def parse_threshold(text: str, k: int) -> ThresholdSequence:
@@ -307,7 +314,7 @@ def _inject(ascents: tuple[int, ...], k: int) -> PathWord:
             "two-return case); no 1-return image exists")
     a[0] += 1
     a[first + 1] -= 1
-    return _box_of_prefix(_dyck_prefix(a), k)
+    return _box_word(a, k)
 
 
 def invert_return_injection(path: PathWord, k: int) -> PathWord | NotInvertible:
@@ -342,5 +349,4 @@ def embed_all_long(path: PathWord, k: int) -> PathWord:
     (each U D^k L factor becomes U U D^(k+1) L)."""
     # ascents a_i + 1 meet the (k+1)-box bounds whenever the a_i meet the
     # k-box ones (at k = 0 too), so the image is built unchecked
-    parts = [a + 1 for a in box_ascents(path, k)]
-    return _box_of_prefix(_dyck_prefix(parts), k + 1)
+    return _box_word([a + 1 for a in box_ascents(path, k)], k + 1)

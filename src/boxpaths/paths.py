@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import chain, repeat
+from functools import cache, lru_cache
+from itertools import accumulate, chain, repeat
 from math import comb
+from operator import eq
 from typing import Iterator
 
 
@@ -212,9 +213,9 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
             else:
                 parts = None
         if parts is not None:
-            return PathClass(True, None, False, len(word) // 2, k=k,
-                             box_size=len(parts),
-                             tailed=word.endswith("U" * (k + 1) + "D" * k + "L"))
+            # the last ascent is at most k + 1, and the word ends
+            # U^(k+1) D^k L exactly when it is k + 1
+            return _box_class(k, len(parts), parts[-1] == k + 1)
     ok, reason = _scan_skew(word)
     if not ok:
         return PathClass(False, reason, False, None, k=k)
@@ -243,6 +244,14 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
     return cls
 
 
+@lru_cache(maxsize=256)
+def _box_class(k: int, n: int, tailed: bool) -> PathClass:
+    """classify's answer for a k-box path of size n (k >= 1), one shared
+    instance per argument triple; PathClass is frozen, so sharing is safe."""
+    return PathClass(True, None, False, (k + 2) * n - 1, k=k, box_size=n,
+                     tailed=tailed)
+
+
 def _block_ascents(word: str, tail: str) -> tuple[int, ...] | int:
     """The ascents of word = U^a1 tail ... U^am tail (all a_i >= 1, tail a
     non-empty word over D and L), or else the index after the U-run of
@@ -266,10 +275,25 @@ def _block_ascents(word: str, tail: str) -> tuple[int, ...] | int:
 def stats(path: PathWord) -> PathStats:
     """Semilength, returns, ascents and long ascents of a skew Dyck path.
 
-    One walk finds the returns; the rest are counts at C speed, since in a
-    skew Dyck path every ascent ends in D (no UL, and no path ends in U).
+    A path with kept k-box ascents (k >= 1) is answered from them: block i
+    descends to height a_1 + ... + a_i - (k+2)i, a return when it is 0, and
+    the last block returns; each ascent is one block's U-run.  Any other
+    path is walked once for its returns, and the rest are counts at C
+    speed, since in a skew Dyck path every ascent ends in D (no UL, and no
+    path ends in U).
     """
     word = path.word
+    parts = getattr(path, "_ascents", None)
+    # a kept virtual 0-box tuple sums to n + semilength, never len(word) / 2
+    if parts is not None and 2 * sum(parts) == len(word):
+        semilength = len(word) // 2
+        n = len(parts)
+        step = (semilength + 1) // n
+        returns = 1 + sum(map(eq, accumulate(parts),
+                              range(step, step * n, step)))
+        return _unchecked(PathStats, semilength=semilength, returns=returns,
+                          ascents=n, long_ascents=n - parts.count(1),
+                          _word=word)
     returns = _skew_returns(word)
     if returns is None:
         raise InvalidPathError(f"not a skew Dyck path: {_scan_skew(word)[1]}")
@@ -358,10 +382,12 @@ def box_ascents(path: PathWord, k: int) -> tuple[int, ...]:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    parts = _known_ascents(path, k)
-    if parts is not None:
-        return parts
     word = path.word
+    # _known_ascents, inline: this read is most of a checked path's call
+    parts = getattr(path, "_ascents", None)
+    if parts is not None and len(word) == 2 * (
+            (k + 2) * len(parts) - 1 if k else len(parts) - 1):
+        return parts
     if k == 0:
         cls = classify(path, 0)
         if cls.box_size is None:
@@ -398,11 +424,20 @@ def composition_of(path: PathWord, k: int) -> Composition:
 
 def path_of_composition(comp: Composition) -> PathWord:
     """Rebuild the k-box path word from its composition."""
-    k = comp.k
-    inner = "D" * k + "L" + "D"
-    pieces = ["U" * a + inner for a in comp.parts[:-1]]
-    pieces.append("U" * comp.parts[-1] + "D" * k + "L")
-    return _trusted_word("".join(pieces))
+    return _box_word(comp.parts, comp.k)
+
+
+def _box_word(parts, k: int) -> PathWord:
+    """The k-box path with these ascents, U^a1 D^k L D ... U^an D^k L, or
+    at k = 0 the Dyck word U^(a1-1) D ... U^(an-1) of a virtual tuple.
+
+    Only for ascents already checked or derived from checked ones; the
+    word is not checked again.
+    """
+    if k == 0:
+        return _trusted_word("D".join(["U" * (a - 1) for a in parts]))
+    return _trusted_word(("D" * k + "LD").join(map("U".__mul__, parts))
+                         + "D" * k + "L")
 
 
 def box_return_count(path: PathWord, k: int) -> int:
@@ -416,6 +451,23 @@ def box_long_ascent_count(path: PathWord, k: int) -> int:
     so this is the ascent (equivalently peak) count of the Dyck word."""
     st = stats(path)
     return st.ascents if k == 0 else st.long_ascents
+
+
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass cls with these field values,
+    built without its constructor's checks.  Pass every field that has no
+    class default; one that has keeps it, as with the constructor
+    (trees.KDyckPath's t = 0).
+
+    Only for values the package derives from an input it has checked
+    already, such as a map's image of a checked path or tree; every other
+    caller goes through the constructor.
+    """
+    obj = object.__new__(cls)
+    # the fields live in the instance dict, which the frozen __setattr__
+    # does not guard; one update fills them all
+    obj.__dict__.update(values)
+    return obj
 
 
 def _trusted_word(word: str) -> PathWord:

@@ -20,7 +20,7 @@ from itertools import combinations, product
 from operator import add
 from typing import Iterator
 
-from .paths import InvalidPathError, PathWord, _block_ascents
+from .paths import InvalidPathError, PathWord, _block_ascents, _unchecked
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -78,23 +78,6 @@ def _shape(root: TreeNode | None) -> list[int]:
             out.append(len(node.children))
             stack += reversed(node.children)
     return out
-
-
-def _unchecked(cls, **values):
-    """An instance of the frozen dataclass cls with these field values,
-    built without its constructor's checks.  Pass every field that has no
-    class default; one that has keeps it, as with the constructor
-    (KDyckPath's t = 0).
-
-    Only for values the package derives from an input it has checked
-    already, such as a map's image of a checked path or tree; every other
-    caller goes through the constructor.
-    """
-    obj = object.__new__(cls)
-    # the fields live in the instance dict, which the frozen __setattr__
-    # does not guard; one update fills them all
-    obj.__dict__.update(values)
-    return obj
 
 
 _UNBUILT = object()  # KAryTree's root before it is built

@@ -34,13 +34,14 @@ from boxpaths import (
     path_of_composition,
     parse_threshold,
     return_injection,
+    stats,
     threshold_to_box,
     tree_tuple_to_box,
 )
 from boxpaths import TreeTuple, generate_trees, kdyck_to_tree, tree_to_kdyck
 from boxpaths import bijections
 from boxpaths.bijections import _check_box
-from boxpaths.paths import _box_template, _check_ascents
+from boxpaths.paths import _box_template, _check_ascents, _skew_returns
 from boxpaths.trees import _augment, _strip_augmented
 
 EXAMPLE = parse_path("UUUDLDUUUDLDUUDL")
@@ -357,20 +358,28 @@ def test_invert_return_injection_reads_the_candidate_once(monkeypatch):
 
 def test_a_path_is_scanned_once_by_every_check_and_forward_map(monkeypatch):
     # the ascents one check accepts are kept on the path, so classify,
-    # box_ascents and the four forward maps scan it once between them;
-    # compose_box builds the joined word's ascents from its parts
+    # box_ascents, stats and the four forward maps scan it once between
+    # them, and stats does not walk it; compose_box builds the joined
+    # word's ascents from its parts
     scanned = []
+    walked = []
 
     def counted(word, k):
         scanned.append(word)
         return _box_template(word, k)
 
+    def walk(word):
+        walked.append(word)
+        return _skew_returns(word)
+
     monkeypatch.setattr("boxpaths.paths._box_template", counted)
+    monkeypatch.setattr("boxpaths.paths._skew_returns", walk)
     for k, parts in ((1, (3, 3, 2)), (2, (5, 3, 4, 3))):
         word = path_of_composition(Composition(k, parts)).word
         path = PathWord(word)
         assert classify(path, k).box_size == len(parts)
         assert box_ascents(path, k) == parts
+        assert stats(path).returns == 3
         box_to_tree_tuple(path, k)
         box_to_kt_dyck(path, k)
         box_to_threshold(path, k)
@@ -378,6 +387,7 @@ def test_a_path_is_scanned_once_by_every_check_and_forward_map(monkeypatch):
         assert scanned == [word]
         assert compose_box(dec) == path
         assert scanned == [word]
+        assert walked == []
         scanned.clear()
 
 

@@ -34,10 +34,11 @@ from boxpaths import (
     skew_dyck_words,
     stats,
 )
-from boxpaths.bijections import _require_box
+from boxpaths.bijections import _require_box, box_to_dyck_prefix
 from boxpaths.paths import (
     _TAIL_BUDGET,
     _TAIL_STEPS,
+    PathStats,
     _block_ascents,
     _box_blocks,
     _box_tails,
@@ -514,6 +515,32 @@ def test_kept_ascents_do_not_depend_on_the_order_of_checks():
                 if _outcome(check, path, k) != fresh[check, k]:
                     wrong.append((word[:40], k, check.__name__))
     assert wrong == []
+
+
+def _reference_dyck_prefix(ascents):
+    """box_to_dyck_prefix as it was, joined from the ascents."""
+    return "D".join(["U" * (a - 1) for a in ascents])
+
+
+def test_kept_ascents_answer_as_the_definitional_bodies():
+    # once box_ascents has kept a path's ascents, classify, stats and the
+    # prefix map answer from them (k >= 1), or, at k = 0, where the
+    # virtual tuple is kept, by the walk; both must give what the
+    # definitional bodies give, field by field
+    paths = [(k, p) for k in range(4) for n in range(1, 7)
+             for p in generate_k_box(k, n)]
+    paths += [(k, p) for k in (1, 2, 3) for p in _shaped_box_paths(k, 10**4)]
+    wrong = []
+    for k, path in paths:
+        ascents = box_ascents(path, k)
+        want = _reference_stats(path)
+        if (classify(path, k) != _reference_classify(path, k)
+                or stats(path) != PathStats(*want, _word=path.word)
+                or box_to_dyck_prefix(path, k) != _reference_dyck_prefix(ascents)):
+            wrong.append((path.word[:40], k))
+    assert wrong == []
+    assert len(paths) == sum(count_box(k, n) for k in range(4)
+                             for n in range(1, 7)) + 6
 
 
 def test_a_path_with_kept_ascents_is_still_its_word():
