@@ -116,7 +116,8 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-# lines joined per write by _write_lines
+# lines per write in _write_lines: enough that a write's cost is spread
+# thin, few enough that one chunk of box words stays small
 _LINES_PER_WRITE = 4096
 
 
