@@ -22,7 +22,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import accumulate, chain, repeat
-from math import comb
 from operator import eq
 from typing import Iterator
 
@@ -199,9 +198,10 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
     UL or LU; each block's lowest point is its end, at height
     a_1 + ... + a_i - (k+2)i >= 0, and the last block ends at 0; and a
     factor U D^k L can start only where a U-run ends, so there are exactly
-    n of them, with semilength a_1 + ... + a_n = (k+2)n - 1.  Any other
-    word takes the definitional route: the skew scan, then the factor count.
-    Accepted ascents are kept on the path, or read back if kept already.
+    n of them, with semilength a_1 + ... + a_n = (k+2)n - 1.  Every k-box
+    path has that shape, so any other word is not one: it takes the skew
+    scan, then at k >= 2 the augmented (k+1)-Dyck test.  Accepted ascents
+    are kept on the path, or read back if kept already.
     """
     word = path.word
     if k is not None and k >= 1:
@@ -231,11 +231,6 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
             return PathClass(True, None, True, semilength, k=0,
                              box_size=semilength + 1, tailed=True)
         return cls
-    n = path.word.count("U" + "D" * k + "L")
-    if n >= 1 and semilength == (k + 2) * n - 1:
-        tail = "U" * (k + 1) + "D" * k + "L"
-        return PathClass(True, None, dyck, semilength, k=k, box_size=n,
-                         tailed=word.endswith(tail))
     if k >= 2:
         blocks = _block_ascents(word, "D" * (k - 1) + "LD")
         if not isinstance(blocks, int):
@@ -401,7 +396,9 @@ def box_ascents(path: PathWord, k: int) -> tuple[int, ...]:
             # an index past the word is the appended D: name the last letter
             raise InvalidPathError(f"not a {k}-box path: malformed block at "
                                    f"index {min(parts, len(word) - 1)}")
-        _check_ascents(k, parts)
+        defect = _ascent_defect(k, parts)
+        if defect is not None:
+            raise InvalidPathError(defect)
     _set_ascents(path, parts)
     return parts
 
@@ -482,78 +479,68 @@ def _trusted_word(word: str) -> PathWord:
     return path
 
 
-# The skew generator takes the last steps of every word from a table of
-# completions and builds each prefix's words as one batch.  Eight steps
-# keep the table at about 3 600 short strings, at most 256 per prefix, and
-# measured fastest through semilength 11: six make four times as many
-# batches, and ten or twelve build a table six or thirty times larger for
-# little or no gain.
-_TAIL_STEPS = 8
+# Every generator is one walk over a stack of (prefix, state) pairs in
+# word order; a state's first entry counts the moves left.  A family gives
+# only its moves: a dict whose moves[state] lists the (piece, next state)
+# pairs allowed next, in word order, found on first use, and whose
+# levels(i) lists the states i moves from the end.  Each prefix one move
+# above the table of completions yields its paths as one batch.  At 4096
+# entries the skew table is 8 steps deep, the Dyck table 11, and a box
+# table 5 ascents deep at k = 1, 4 at k = 2, 1 from k = 51, none past 4095.
+_TAIL_BUDGET = 4096
 
 
-def _skew_moves(u: int, d: int, prev: str,
-                allow_left: bool) -> list[tuple[str, int, int]]:
-    """The steps allowed after `prev` with u ups and d downs left, in word
-    order U < D < L, each with the ups and downs left after it.
+def _table(moves: dict, empty, top: int | None = None) -> tuple[int, dict]:
+    """(depth, table): table[state] lists every completion of each state
+    at most depth moves from the end, in word order, the finished states'
+    one completion being empty.
 
-    The height is d - u; UL and LU are forbidden factors.
+    Each level's entries are counted from the levels below before it is
+    built, and the count stops once the table would hold more than
+    _TAIL_BUDGET, so a level far over it lists few moves; the depth is the
+    last level (at most top) that fits.
     """
-    moves = []
-    if u and prev != "L":
-        moves.append(("U", u - 1, d))
-    if d > u:
-        moves.append(("D", u, d - 1))
-        if allow_left and prev != "U":
-            moves.append(("L", u, d - 1))
-    return moves
+    table = dict.fromkeys(moves.levels(0), [empty])
+    depth = size = 0
+    while top is None or depth < top:
+        states = moves.levels(depth + 1)
+        for state in states:
+            size += sum([len(table[nxt]) for _, nxt in moves[state]])
+            if size > _TAIL_BUDGET:
+                return depth, table
+        depth += 1
+        for state in states:
+            table[state] = _batch(moves, table, empty, state)
+    return depth, table
 
 
-@cache
-def _skew_tails(allow_left: bool) -> dict[tuple[int, int, str], list[str]]:
-    """Every completion of at most _TAIL_STEPS steps, in word order, keyed
-    by (ups left, downs left, previous step); built bottom-up, once for
-    each value of allow_left, and never changed after."""
-    tails = {(0, 0, prev): [""] for prev in "UDL"}
-    for steps in range(1, _TAIL_STEPS + 1):
-        for u in range(steps // 2 + 1):
-            d = steps - u
-            for prev in "UDL":
-                tails[(u, d, prev)] = [
-                    step + tail
-                    for step, u2, d2 in _skew_moves(u, d, prev, allow_left)
-                    for tail in tails[(u2, d2, step)]
-                ]
-    return tails
+def _batch(moves: dict, table: dict, prefix, state) -> list:
+    """prefix followed by every completion of a state one move above the
+    table."""
+    batch = []
+    for piece, nxt in moves[state]:
+        head = prefix + piece
+        batch += map(head.__add__, table[nxt])
+    return batch
 
 
-def skew_dyck_words(semilength: int, allow_left: bool = True) -> Iterator[str]:
-    """Yield the words of all skew Dyck paths of the given semilength, as
-    plain strings, lexicographically (U < D < L); with allow_left=False,
-    the Dyck words.
-
-    The words stream from an explicit stack of prefixes; the last few steps
-    come from a cached table of completions, and each prefix's words are
-    built from its completions as one batch.  Argument errors raise at the
-    call, not at the first next().
-    """
-    _check_semilength(semilength)
-    return chain.from_iterable(_skew_batches(semilength, allow_left))
-
-
-def generate_skew_dyck(semilength: int, allow_left: bool = True) -> Iterator[PathWord]:
-    """Yield all skew Dyck paths of the given semilength, lexicographically (U < D < L).
-
-    The paths are the words of skew_dyck_words, wrapped batch by batch and
-    not validated again.
-    """
-    _check_semilength(semilength)
-    batches = _skew_batches(semilength, allow_left)
-    return chain.from_iterable(map(_trusted_batch, batches))
-
-
-def _check_semilength(semilength: int) -> None:
-    if semilength < 0:
-        raise ValueError("semilength must be >= 0")
+def _walk(moves: dict, depth: int, table: dict, start) -> Iterator[list]:
+    """The completions of start, a (prefix, state) pair, in word order,
+    one batch per prefix one move above the table."""
+    prefix, state = start
+    if state[0] <= depth:
+        # only skew words of semilength at most depth / 2 start here
+        yield list(map(prefix.__add__, table[state]))
+        return
+    stack = [start]
+    while stack:
+        prefix, state = stack.pop()
+        if state[0] <= depth + 1:
+            yield _batch(moves, table, prefix, state)
+            continue
+        # pushed last move first, so the pops follow word order
+        stack += [(prefix + piece, nxt)
+                  for piece, nxt in reversed(moves[state])]
 
 
 def _trusted_batch(words: list[str]) -> list[PathWord]:
@@ -564,21 +551,70 @@ def _trusted_batch(words: list[str]) -> list[PathWord]:
     return batch
 
 
+class _SkewMoves(dict):
+    """The skew family's moves.  A state is (steps left, ups left, previous
+    step), at height steps - 2 ups; the steps are U < D < L, and UL and LU
+    are forbidden factors."""
+
+    def __init__(self, allow_left: bool):
+        super().__init__()
+        self.allow_left = allow_left
+
+    @staticmethod
+    def levels(steps: int) -> list:
+        return [(steps, u, prev)
+                for u in range(steps // 2 + 1) for prev in "UDL"]
+
+    def __missing__(self, state) -> list:
+        steps, u, prev = state
+        after = []
+        if u and prev != "L":
+            after.append(("U", (steps - 1, u - 1, "U")))
+        if steps > 2 * u:
+            after.append(("D", (steps - 1, u, "D")))
+            if self.allow_left and prev != "U":
+                after.append(("L", (steps - 1, u, "L")))
+        self[state] = after
+        return after
+
+
+@cache
+def _skew_walk(allow_left: bool) -> tuple:
+    """(moves, depth, table) of the skew family, built once for each value
+    of allow_left and not changed after, but for moves found later."""
+    moves = _SkewMoves(allow_left)
+    return (moves, *_table(moves, ""))
+
+
 def _skew_batches(semilength: int, allow_left: bool) -> Iterator[list[str]]:
-    """The words of skew_dyck_words, one list per prefix whose
-    completions come from the tail table."""
-    tails = _skew_tails(allow_left)
-    # (prefix, ups left, downs left, previous step); the empty start acts
-    # as a D, which forbids neither U nor L
-    stack = [("", semilength, semilength, "D")]
-    while stack:
-        prefix, u, d, prev = stack.pop()
-        if u + d <= _TAIL_STEPS:
-            yield list(map(prefix.__add__, tails[(u, d, prev)]))
-            continue
-        # pushed last move first, so the pops follow word order
-        for step, u2, d2 in reversed(_skew_moves(u, d, prev, allow_left)):
-            stack.append((prefix + step, u2, d2, step))
+    """The words of skew_dyck_words, one list per batch of _walk."""
+    if semilength < 0:
+        raise ValueError("semilength must be >= 0")
+    # the empty start acts as a D, which forbids neither U nor L
+    start = ("", (2 * semilength, semilength, "D"))
+    return _walk(*_skew_walk(allow_left), start)
+
+
+def skew_dyck_words(semilength: int, allow_left: bool = True) -> Iterator[str]:
+    """Yield the words of all skew Dyck paths of the given semilength, as
+    plain strings, lexicographically (U < D < L); with allow_left=False,
+    the Dyck words.
+
+    The words stream from the shared walk over a table of the last steps
+    cached for each allow_left.  Argument errors raise at the call, not at
+    the first next().
+    """
+    return chain.from_iterable(_skew_batches(semilength, allow_left))
+
+
+def generate_skew_dyck(semilength: int, allow_left: bool = True) -> Iterator[PathWord]:
+    """Yield all skew Dyck paths of the given semilength, lexicographically (U < D < L).
+
+    The paths are the words of skew_dyck_words, wrapped batch by batch and
+    not validated again.
+    """
+    batches = _skew_batches(semilength, allow_left)
+    return chain.from_iterable(map(_trusted_batch, batches))
 
 
 def generate_dyck(semilength: int) -> Iterator[PathWord]:
@@ -592,11 +628,10 @@ def generate_dyck(semilength: int) -> Iterator[PathWord]:
 def generate_k_box(k: int, n: int) -> Iterator[PathWord]:
     """Yield all k-box paths of size n in lexicographic word order.
 
-    The paths stream from an explicit stack of ascent prefixes; the last
-    few ascents come from a table of completions, and each prefix's words
-    are concatenated from the template pieces U^a D^k L D as one batch,
-    wrapped without being validated again.  Argument errors raise at the
-    call, not at the first next().
+    The paths stream from the shared walk over the ascents, each batch
+    concatenated from the template blocks U^a D^k L D and wrapped without
+    being validated again.  Argument errors raise at the call, not at the
+    first next().
     """
     _check_box_args(k, n)
     if k == 0:
@@ -620,100 +655,59 @@ def _check_box_args(k: int, n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
-# The box generators take the last ascents of every path from a table of
-# completions, as the skew generator takes its last steps, and build each
-# prefix's paths as one batch, one ascent above the table.  The table is as
-# deep as this many entries allow: four ascents at k = 1 (182 entries),
-# three at k = 2 and 3 (109 and 234), one from k = 17 and none from k = 512.
-_TAIL_BUDGET = 512
+class _BoxMoves(dict):
+    """The box family's moves at size n.  A state is (ascents left, slack),
+    where the ascents placed sum to slack more than their bound (k+2)i, and
+    a move places the next ascent a as its template block, U^a D^k L D or
+    U^a D^k L for the last, or as the 1-tuple (a,)."""
 
+    def __init__(self, k: int, n: int, words: bool):
+        super().__init__()
+        self.k = k
+        # an ascent is at most (k + 1) n, the last one at most k + 1
+        if words:
+            last = "D" * k + "L"
+            self.finals = ["U" * a + last for a in range(k + 2)]
+            self.blocks = ["U" * a + last + "D"
+                           for a in range((k + 1) * n + 1)]
+        else:
+            self.blocks = self.finals = [(a,) for a in range((k + 1) * n + 1)]
 
-def _ascent_range(k: int, r: int, slack: int) -> range:
-    """The values of the next ascent, largest first, with r ascents left
-    (this one among them) whose predecessors sum to `slack` more than
-    their bound (k+2)i.
+    def levels(self, r: int) -> list:
+        if not r:
+            return [(0, -1)]
+        return [(r, slack) for slack in range((self.k + 1) * r)]
 
-    The r ascents sum to (k+2)r - 1 - slack, so the last one is what is
-    left; every other leaves at least 1 for each later ascent and keeps
-    the prefix sum at or above its bound.  Placing a leaves slack
-    slack + a - (k+2), which is -1 after the last ascent.
-    """
-    rest = (k + 2) * r - 1 - slack
-    if r == 1:
-        return range(rest, rest - 1, -1)
-    return range(rest - r + 1, max(1, k + 2 - slack) - 1, -1)
+    def __missing__(self, state) -> list:
+        """The next ascents, largest first, since the template puts D right
+        after each run, so descending ascents are ascending word order.
 
-
-def _box_blocks(k: int, words: bool, n: int) -> tuple[list, list]:
-    """(finals, blocks): ascent a as the last ascent and as any other, for
-    every a a path of size n can have; as its template block, U^a D^k L
-    for the last and U^a D^k L D for any other, or as the 1-tuple (a,)."""
-    # an ascent is at most (k + 1) n, the last one at most k + 1
-    if not words:
-        singles = [(a,) for a in range((k + 1) * n + 1)]
-        return singles, singles
-    last = "D" * k + "L"
-    return (["U" * a + last for a in range(k + 2)],
-            ["U" * a + last + "D" for a in range((k + 1) * n + 1)])
-
-
-def _box_tails(k: int, blocks: tuple[list, list], empty,
-               top: int) -> tuple[int, dict[tuple[int, int], list]]:
-    """(depth, tails): tails[(r, slack)] lists every way to place the last
-    r <= depth ascents, as _box_completions gives them from blocks.
-
-    Level r holds one entry per path of size r + 1 (its first ascent
-    dropped), count_box(k, r + 1) of them, so the depth, the largest up to
-    top whose levels 1..depth hold at most _TAIL_BUDGET entries, is found
-    before any level is built.
-    """
-    depth = size = 0
-    while depth < top:
-        m = (k + 2) * (depth + 2) - 1
-        size += comb(m, depth + 2) // m
-        if size > _TAIL_BUDGET:
-            break
-        depth += 1
-    tails = {(0, -1): [empty]}
-    for r in range(1, depth + 1):
-        for slack in range((k + 1) * r):
-            tails[(r, slack)] = _box_completions(k, tails, blocks, empty, r, slack)
-    return depth, tails
-
-
-def _box_completions(k: int, tails: dict, blocks: tuple[list, list], prefix,
-                     r: int, slack: int) -> list:
-    """prefix followed by every way to place the last r ascents, largest
-    ascents first (see _ascent_range), each next ascent's block from
-    _box_blocks followed by the completions of the r - 1 after it in
-    tails."""
-    block = blocks[r > 1]
-    batch = []
-    for a in _ascent_range(k, r, slack):
-        head = prefix + block[a]
-        batch += map(head.__add__, tails[(r - 1, slack + a - k - 2)])
-    return batch
+        The r ascents left sum to (k+2)r - 1 - slack, so the last one is
+        what is left; every other leaves at least 1 for each later ascent
+        and keeps the prefix sum at or above its bound.  Placing a leaves
+        slack slack + a - (k+2), which is -1 after the last ascent.
+        """
+        r, slack = state
+        step = self.k + 2
+        rest = step * r - 1 - slack
+        if r == 1:
+            after = [(self.finals[rest], (0, -1))]
+        else:
+            blocks = self.blocks
+            after = [(blocks[a], (r - 1, slack + a - step))
+                     for a in range(rest - r + 1, max(1, step - slack) - 1, -1)]
+        self[state] = after
+        return after
 
 
 def _box_batches(k: int, n: int, words: bool) -> Iterator[list]:
     """The paths of size n as words (or their ascents as tuples), one list
-    per prefix with at most one ascent more than the tail table holds.
+    per batch of _walk.
 
     The table is built for the call and kept by nothing else.  It is at
-    most n - 2 ascents deep: level n - 1 would hold as many entries as
-    the call has paths.
+    most n - 2 ascents deep: level n - 1 would hold as many entries as the
+    call has paths.
     """
-    blocks = _box_blocks(k, words, n)
+    moves = _BoxMoves(k, n, words)
     empty = "" if words else ()
-    depth, tails = _box_tails(k, blocks, empty, n - 2)
-    # (concatenation so far, ascents left, slack of those placed)
-    stack = [(empty, n, 0)]
-    while stack:
-        prefix, r, slack = stack.pop()
-        if r <= depth + 1:
-            yield _box_completions(k, tails, blocks, prefix, r, slack)
-            continue
-        # the template puts D right after each run, so descending ascents
-        # are ascending word order: the largest is pushed last, popped first
-        for a in reversed(_ascent_range(k, r, slack)):
-            stack.append((prefix + blocks[1][a], r - 1, slack + a - k - 2))
+    return _walk(moves, *_table(moves, empty, n - 2), (empty, (n, 0)))

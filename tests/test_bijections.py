@@ -23,6 +23,7 @@ from boxpaths import (
     box_to_tree_tuple,
     classify,
     compose_box,
+    composition_of,
     count_box,
     count_box_by_returns,
     decompose_box,
@@ -249,6 +250,22 @@ def test_maps_reject_non_box_input():
     for fn in (decompose_box, box_to_tree_tuple, box_to_kt_dyck, box_to_threshold):
         with pytest.raises(InvalidPathError):
             fn(not_box, 1)
+
+
+def test_template_words_out_of_bounds_raise_invalid_path_error():
+    # the template's shape with a first ascent below its bound k + 2: the
+    # ascent check's own text, raised as InvalidPathError by every map that
+    # reads the ascents, as by the map that classifies the word first
+    maps = (composition_of, box_to_threshold, box_to_kt_dyck,
+            box_to_dyck_prefix, return_injection, embed_all_long,
+            box_to_tree_tuple)
+    for word, k in (("UDLDUUUUDL", 1), ("UDDLDUUUUUUDDL", 2)):
+        for fn in maps:
+            with pytest.raises(InvalidPathError):
+                fn(PathWord(word), k)
+        with pytest.raises(InvalidPathError,
+                           match=f"^prefix sum 1 at index 0 is below {k + 2}$"):
+            composition_of(PathWord(word), k)
 
 
 def test_return_injection_worked_example():

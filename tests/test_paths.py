@@ -34,17 +34,14 @@ from boxpaths import (
     skew_dyck_words,
     stats,
 )
+from boxpaths import paths
 from boxpaths.bijections import _require_box, box_to_dyck_prefix
 from boxpaths.paths import (
     _TAIL_BUDGET,
-    _TAIL_STEPS,
     PathStats,
     _block_ascents,
-    _box_blocks,
-    _box_tails,
     _scan_skew,
-    _skew_moves,
-    _skew_tails,
+    _skew_walk,
     _trusted_word,
     generate_box_ascents,
 )
@@ -583,30 +580,41 @@ def test_generate_skew_dyck_streams():
         assert peak < 2 * 2**20
 
 
-# the skew generator's body before it built its words in batches, one
-# generator resume and one _trusted_word call per word; kept as the reference
-def _reference_skew_words(semilength, allow_left):
-    tails = _skew_tails(allow_left)
-    stack = [("", semilength, semilength, "D")]
+def _reference_completions(steps, ups, prev, allow_left):
+    """Every way to end a skew Dyck word (a Dyck word unless allow_left)
+    with `steps` letters, `ups` of them U, after the letter prev, found
+    letter by letter in the order U < D < L with no table."""
+    done = []
+    stack = [("", steps, ups, prev)]
     while stack:
-        prefix, u, d, prev = stack.pop()
-        if u + d <= _TAIL_STEPS:
-            for tail in tails[(u, d, prev)]:
-                yield _trusted_word(prefix + tail)
+        word, steps, ups, prev = stack.pop()
+        if not steps:
+            done.append(word)
             continue
-        for step, u2, d2 in reversed(_skew_moves(u, d, prev, allow_left)):
-            stack.append((prefix + step, u2, d2, step))
+        # the downs left exceed the ups left by the height
+        height = steps - 2 * ups
+        nxt = []
+        if ups and prev != "L":
+            nxt.append(("U", ups - 1))
+        if height > 0:
+            nxt.append(("D", ups))
+            if allow_left and prev != "U":
+                nxt.append(("L", ups))
+        stack += [(word + step, steps - 1, u, step)
+                  for step, u in reversed(nxt)]
+    return done
 
 
 def test_generate_skew_dyck_matches_the_per_word_generator():
     for allow_left in (True, False):
-        for m in range(10):
-            want = list(_reference_skew_words(m, allow_left))
+        for m in range(11):
+            # the empty start forbids nothing, as a D does
+            want = _reference_completions(2 * m, m, "D", allow_left)
             got = list(generate_skew_dyck(m, allow_left))
-            assert got == want
+            assert [p.word for p in got] == want
             for p in got:
                 assert type(p) is PathWord and p == PathWord(p.word)
-            assert list(skew_dyck_words(m, allow_left)) == [p.word for p in want]
+            assert list(skew_dyck_words(m, allow_left)) == want
     with pytest.raises(ValueError):
         generate_skew_dyck(-1)
     with pytest.raises(ValueError):
@@ -683,11 +691,10 @@ def _reference_ascent_walk(k, n, start, pieces, finals):
 
 def test_box_generators_match_the_walk_in_order():
     # sizes up to three past the table's depth, so batches come both from
-    # the whole table and from prefixes the walk builds; k = 17 and 20 have
-    # a table one ascent deep, k = 512 an empty one
-    cases = [(k, n) for k in range(6)
-             for n in range(1, _box_depth(k, True) + 4)]
-    cases += [(k, n) for k in (17, 20) for n in (1, 2, 3)]
+    # the whole table and from prefixes the walk builds; k = 17 and 20 fill
+    # a table two ascents deep at n = 4, and k = 512 builds none at n <= 2
+    cases = [(k, n) for k in range(6) for n in range(1, _box_depth(k) + 4)]
+    cases += [(k, n) for k in (17, 20) for n in (1, 2, 3, 4)]
     cases += [(512, 1), (512, 2)]
     for k, n in cases:
         top = (k + 1) * n + 1
@@ -706,36 +713,84 @@ def test_box_generators_match_the_walk_in_order():
         assert [p.word for p in generate_k_box(k, n)] == want, (k, n)
 
 
-def _box_depth(k, words, top=9):
-    blocks = _box_blocks(k, words, top + 2)
-    return _box_tails(k, blocks, "" if words else (), top)[0]
+def _box_depth(k, top=9):
+    """The deepest box table of at most top levels within _TAIL_BUDGET:
+    level r holds the last r ascents after every first ascent of a path
+    of size r + 1, one entry per such path."""
+    depth = held = 0
+    while depth < top:
+        held += count_box(k, depth + 2)
+        if held > _TAIL_BUDGET:
+            break
+        depth += 1
+    return depth
+
+
+def _held(table):
+    """The entries of a completion table past its finished states."""
+    return sum(len(tails) for state, tails in table.items() if state[0])
+
+
+def test_skew_tables_hold_every_completion_within_the_budget():
+    for allow_left, want_depth in ((True, 8), (False, 11)):
+        _, depth, table = _skew_walk(allow_left)
+        assert depth == want_depth
+        levels = {}
+        for steps, ups, prev in table:
+            levels.setdefault(steps, set()).add((ups, prev))
+            assert table[(steps, ups, prev)] == _reference_completions(
+                steps, ups, prev, allow_left)
+        # every state up to the depth, and none deeper
+        assert sorted(levels) == list(range(depth + 1))
+        for steps, states in levels.items():
+            assert states == {(u, prev) for u in range(steps // 2 + 1)
+                              for prev in "UDL"}
+        assert _held(table) <= _TAIL_BUDGET
+        nxt = sum(len(_reference_completions(depth + 1, u, prev, allow_left))
+                  for u in range((depth + 1) // 2 + 1) for prev in "UDL")
+        assert _held(table) + nxt > _TAIL_BUDGET
 
 
 def test_box_tail_table_stays_within_its_budget(monkeypatch):
-    # level r of the table lists the last r ascents after every first
-    # ascent of a path of size r + 1, one entry per such path
-    for k in [*range(61), 511, 512]:
-        sizes = [count_box(k, r + 1) for r in range(1, 10)]
-        for words in (True, False):
-            blocks = _box_blocks(k, words, 11)
-            depth, tails = _box_tails(k, blocks, "" if words else (), 9)
-            held = sum(len(v) for (r, _), v in tails.items() if r >= 1)
-            assert held == sum(sizes[:depth]) <= _TAIL_BUDGET
-            assert sum(sizes[:depth + 1]) > _TAIL_BUDGET
-    depths = [_box_depth(k, True) for k in (1, 2, 3, 16, 17, 511, 512)]
-    assert depths == [4, 3, 3, 2, 1, 1, 0]
-    # a call of size n builds no level as large as its own output
     built = []
+    table_of = paths._table
 
-    def recorded(*args):
-        depth, tails = _box_tails(*args)
-        built.append(depth)
-        return depth, tails
+    def recorded(moves, empty, top=None):
+        depth, table = table_of(moves, empty, top)
+        built.append((top, depth, _held(table)))
+        return depth, table
 
-    monkeypatch.setattr("boxpaths.paths._box_tails", recorded)
-    for n in range(1, 8):
-        list(generate_k_box(1, n))
-    assert built == [0, 0, 1, 2, 3, 4, 4]
+    monkeypatch.setattr(paths, "_table", recorded)
+    # a size-n call's table stops at level n - 2 or at the budget; the
+    # words' template blocks grow with k n, so large k takes small n, and
+    # k = 4095 the tuples only
+    both = (generate_k_box, generate_box_ascents)
+    cases = [(k, 11, both) for k in range(61)]
+    cases += [(511, 3, both), (512, 3, both), (4095, 3, both[1:])]
+    for k, n, gens in cases:
+        for gen in gens:
+            built.clear()
+            gen(k, n)
+            if k == 0 and gen is generate_k_box:
+                assert built == []  # the Dyck words of the skew walk
+                continue
+            [(top, depth, held)] = built
+            assert top == n - 2 and depth == _box_depth(k, n - 2), (k, n)
+            assert held == sum(count_box(k, r + 1)
+                               for r in range(1, depth + 1)) <= _TAIL_BUDGET
+            assert (depth == top
+                    or held + count_box(k, depth + 2) > _TAIL_BUDGET), (k, n)
+    assert [_box_depth(k) for k in (1, 2, 3, 50, 51, 4095, 4096)] == [
+        5, 4, 4, 2, 1, 1, 0]
+    built.clear()
+    generate_box_ascents(4096, 3)
+    assert built == [(1, 0, 0)]
+    # a call of size n builds no level as deep as n - 1, so no level as
+    # large as its own output
+    built.clear()
+    for n in range(1, 9):
+        generate_k_box(1, n)
+    assert [depth for _, depth, _ in built] == [0, 0, 1, 2, 3, 4, 5, 5]
 
 
 def test_box_generators_at_a_large_k_stay_small():
