@@ -34,7 +34,6 @@ from boxpaths import (
     skew_dyck_words,
     stats,
 )
-from boxpaths import paths
 from boxpaths.bijections import _require_box, box_to_dyck_prefix
 from boxpaths.paths import (
     _TAIL_BUDGET,
@@ -42,7 +41,7 @@ from boxpaths.paths import (
     _block_ascents,
     _scan_skew,
     _skew_walk,
-    _trusted_word,
+    _table,
     generate_box_ascents,
 )
 from boxpaths.trees import _strip_augmented
@@ -753,14 +752,13 @@ def test_skew_tables_hold_every_completion_within_the_budget():
 
 def test_box_tail_table_stays_within_its_budget(monkeypatch):
     built = []
-    table_of = paths._table
 
     def recorded(moves, empty, top=None):
-        depth, table = table_of(moves, empty, top)
+        depth, table = _table(moves, empty, top)
         built.append((top, depth, _held(table)))
         return depth, table
 
-    monkeypatch.setattr(paths, "_table", recorded)
+    monkeypatch.setattr("boxpaths.paths._table", recorded)
     # a size-n call's table stops at level n - 2 or at the budget; the
     # words' template blocks grow with k n, so large k takes small n, and
     # k = 4095 the tuples only
