@@ -14,9 +14,8 @@ from operator import sub
 from .paths import (
     InvalidPathError,
     PathWord,
-    _ascent_defect,
+    _accept,
     _box_word,
-    _set_ascents,
     _trusted_word,
     _unchecked,
     box_ascents,
@@ -158,8 +157,8 @@ def compose_box(dec: BoxDecomposition) -> PathWord:
     The word's ascents are the parts' blocks in turn: the U after each
     part joins the first U-run of the next part that has one, and the Us
     after the last such part make the final run.  A block's D^k L D lies
-    inside its part, so the word is not scanned again; the ascents are
-    kept on it when they meet the bounds, and classify reads them back.
+    inside its part, so the word is not scanned again: _accept keeps the
+    ascents on it when they meet the bounds, and classify reads them back.
     """
     k = dec.k
     if k == 0:
@@ -178,9 +177,7 @@ def compose_box(dec: BoxDecomposition) -> PathWord:
         run += 1
     ascents.append(run)
     path = _trusted_word("".join(p.word + "U" for p in dec.parts) + "D" * k + "L")
-    ascents = tuple(ascents)
-    if _ascent_defect(k, ascents) is None:
-        _set_ascents(path, ascents)
+    _accept(path, k, tuple(ascents))
     _check_box(path, k)
     return path
 
@@ -333,7 +330,7 @@ def invert_return_injection(path: PathWord, k: int) -> PathWord | NotInvertible:
             break
     else:
         return NotInvertible("no return to y=1")
-    candidate = PathWord(word[1:pos + 1] + "U" + word[pos + 1:])
+    candidate = _trusted_word(word[1:pos + 1] + "U" + word[pos + 1:])
     try:
         ascents = box_ascents(candidate, k)
     except ValueError:

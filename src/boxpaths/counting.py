@@ -31,9 +31,19 @@ def exact_div(num: int, den: int) -> int:
 
 
 def fuss_catalan(k: int, r: int, n: int) -> int:
-    """r/(kn+r) * C(kn+r, n): lattice paths weighted by the cycle lemma."""
+    """r/(kn+r) * C(kn+r, n): lattice paths weighted by the cycle lemma.
+
+    For r = 0 this is Raney's convention, 1 at n = 0 and 0 beyond, which
+    the formula gives wherever kn > 0.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if r == 0:
+        return int(n == 0)
     return exact_div(r * binomial(k * n + r, n), k * n + r)
 
 

@@ -45,9 +45,9 @@ class InvalidPathError(ValueError):
 class PathWord:
     """A word over {U, D, L}; carries no validity promise beyond its alphabet.
 
-    Once box_ascents or classify accepts the word as a k-box path, its
-    ascents are kept in a slot that is not a field (see _known_ascents),
-    so every later check of the same object reads them back; equality,
+    Once box_ascents or classify accepts the word as a k-box path (k >= 1),
+    its ascents are kept in a slot that is not a field (see _accept), so
+    every later check of the same object reads them back; equality,
     hashing, repr, copy and pickle see the word alone.
     """
 
@@ -80,25 +80,6 @@ class PathWord:
 
     def __setstate__(self, state: list[str]) -> None:
         PathWord.word.__set__(self, *state)
-
-
-_set_ascents = PathWord._ascents.__set__
-
-
-def _known_ascents(path: PathWord, k: int) -> tuple[int, ...] | None:
-    """The ascents kept on path if it was accepted as a k-box path, else None.
-
-    Only accepted ascents are kept, and a word is a k-box path for at most
-    one k.  n ascents take 2((k+2)n - 1) letters at k >= 1 and 2(n - 1) at
-    k = 0 (the virtual tuple), so for a given n the length names the k.
-    """
-    parts = getattr(path, "_ascents", None)
-    if parts is None:
-        return None
-    n = len(parts)
-    if len(path.word) == 2 * ((k + 2) * n - 1 if k else n - 1):
-        return parts
-    return None
 
 
 def parse_path(text: str) -> PathWord:
@@ -200,19 +181,13 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
     factor U D^k L can start only where a U-run ends, so there are exactly
     n of them, with semilength a_1 + ... + a_n = (k+2)n - 1.  Every k-box
     path has that shape, so any other word is not one: it takes the skew
-    scan, then at k >= 2 the augmented (k+1)-Dyck test.  Accepted ascents
-    are kept on the path, or read back if kept already.
+    scan, then at k >= 2 the augmented (k+1)-Dyck test.  _accept keeps
+    accepted ascents on the path, or reads them back if kept already.
     """
     word = path.word
     if k is not None and k >= 1:
-        parts = _known_ascents(path, k)
-        if parts is None:
-            parts = _box_template(word, k)
-            if isinstance(parts, tuple) and _ascent_defect(k, parts) is None:
-                _set_ascents(path, parts)
-            else:
-                parts = None
-        if parts is not None:
+        parts = _accept(path, k)
+        if not isinstance(parts, str):
             # the last ascent is at most k + 1, and the word ends
             # U^(k+1) D^k L exactly when it is k + 1
             return _box_class(k, len(parts), parts[-1] == k + 1)
@@ -279,8 +254,7 @@ def stats(path: PathWord) -> PathStats:
     """
     word = path.word
     parts = getattr(path, "_ascents", None)
-    # a kept virtual 0-box tuple sums to n + semilength, never len(word) / 2
-    if parts is not None and 2 * sum(parts) == len(word):
+    if parts is not None:
         semilength = len(word) // 2
         n = len(parts)
         step = (semilength + 1) // n
@@ -371,35 +345,49 @@ def box_ascents(path: PathWord, k: int) -> tuple[int, ...]:
     """Ascent tuple of a k-box path; for k = 0 the virtual tuple (b_i + 1, ..., 1).
 
     The k = 0 case reads a Dyck path U^b1 D ... U^bm D as the virtual box
-    path obtained by rewriting D -> ULD and appending UL.  The ascents are
-    kept on the path once accepted, and read back by every later call at
-    the same k; a rejection is not kept, so it is found and raised anew.
+    path obtained by rewriting D -> ULD and appending UL, found anew by
+    every call.  For k >= 1, _accept keeps the ascents on the path for
+    every later call at the same k; a rejection is raised anew each time.
     """
+    if k >= 1:
+        parts = _accept(path, k)
+        if isinstance(parts, str):
+            raise InvalidPathError(parts)
+        return parts
     if k < 0:
         raise ValueError("k must be >= 0")
+    cls = classify(path, 0)
+    if cls.box_size is None:
+        raise InvalidPathError(
+            f"not a Dyck path: {cls.reason or 'contains L steps'}")
+    # the U-runs before each D, then the empty run after the last
+    return tuple(len(run) + 1 for run in path.word.split("D"))
+
+
+def _accept(path: PathWord, k: int, parts: tuple[int, ...] | None = None
+            ) -> tuple[int, ...] | str:
+    """The ascents of path as a k-box path (k >= 1), or the text of its
+    rejection: parts, which a caller read off the blocks of a word it
+    built, else those kept on path, else the template scan's; they are
+    kept on path once they meet the bounds of _check_ascents.  The one
+    writer of the kept ascents.
+    """
     word = path.word
-    # _known_ascents, inline: this read is most of a checked path's call
-    parts = getattr(path, "_ascents", None)
-    if parts is not None and len(word) == 2 * (
-            (k + 2) * len(parts) - 1 if k else len(parts) - 1):
-        return parts
-    if k == 0:
-        cls = classify(path, 0)
-        if cls.box_size is None:
-            raise InvalidPathError(
-                f"not a Dyck path: {cls.reason or 'contains L steps'}")
-        # the U-runs before each D, then the empty run after the last
-        parts = tuple(len(run) + 1 for run in word.split("D"))
-    else:
+    if parts is None:
+        kept = getattr(path, "_ascents", None)
+        # only accepted ascents are kept, and n of them take 2((k+2)n - 1)
+        # letters, so for a given n the length names the k
+        if kept is not None and len(word) == 2 * ((k + 2) * len(kept) - 1):
+            return kept
         parts = _box_template(word, k)
         if isinstance(parts, int):
             # an index past the word is the appended D: name the last letter
-            raise InvalidPathError(f"not a {k}-box path: malformed block at "
-                                   f"index {min(parts, len(word) - 1)}")
-        defect = _ascent_defect(k, parts)
-        if defect is not None:
-            raise InvalidPathError(defect)
-    _set_ascents(path, parts)
+            return (f"not a {k}-box path: malformed block at index "
+                    f"{min(parts, len(word) - 1)}")
+    defect = _ascent_defect(k, parts)
+    if defect is not None:
+        return defect
+    PathWord._ascents.__set__(path, parts)
     return parts
 
 

@@ -44,6 +44,14 @@ def _integer(value) -> int:
     raise ValueError(f"series coefficient {value!r} is not an integer")
 
 
+def _check_orders(t_order: int, x_order: int) -> None:
+    """Reject a negative truncation order, which no coefficient table has."""
+    if t_order < 0:
+        raise ValueError("t_order must be >= 0")
+    if x_order < 0:
+        raise ValueError("x_order must be >= 0")
+
+
 @dataclass(frozen=True)
 class BiSeries:
     """Polynomial truncation of a power series in t (outer) and x (inner)."""
@@ -56,6 +64,7 @@ class BiSeries:
     def build(t_order: int, x_order: int, terms=()) -> "BiSeries":
         """Series with the given (j, n, value) terms, zero elsewhere; every
         value must be a whole number."""
+        _check_orders(t_order, x_order)
         rows = [[0] * (x_order + 1) for _ in range(t_order + 1)]
         for j, n, value in terms:
             value = _integer(value)
@@ -338,6 +347,7 @@ def solve_skew_dyck_series(t_order: int, x_order: int) -> BiSeries:
     """R(t, x): [t^j x^n] counts skew Dyck paths of semilength n with j
     UDL-factors.  Column n comes from the cubic written as
     R = x^2 R + (1 - x - x^2 + t x^2) + x(2 - x) R^2 - x^2 R^3."""
+    _check_orders(t_order, x_order)
     T = t_order
     const = [[1], [-1], _trim([-1, 1][:T + 1])]
 
@@ -371,6 +381,7 @@ def tree_series(k: int, x_order: int, t_order: int = 0) -> BiSeries:
     """C_k(x) = 1 + x C_k(x)^k, counting k-ary trees by nodes."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_orders(t_order, x_order)
     return _tree_columns(k, t_order).to_biseries(x_order)
 
 
@@ -391,6 +402,7 @@ def augmented_long_ascent_series(k: int, t_order: int, x_order: int) -> BiSeries
     and long ascents (t)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_orders(t_order, x_order)
     return _augmented_columns(k, t_order)[0].to_biseries(x_order)
 
 
@@ -403,6 +415,7 @@ def long_ascent_series(k: int, t_order: int, x_order: int) -> BiSeries:
     """F_k(t, x): [t^j x^n] counts k-box paths of size n with j long ascents."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    _check_orders(t_order, x_order)
     G, D = _augmented_columns(k + 1, t_order)
     GkD = G.power(k) * D
     return _Columns(t_order, lambda n: GkD[n - 1]).to_biseries(x_order)
@@ -422,6 +435,7 @@ def returns_series(k: int, t_order: int, x_order: int) -> BiSeries:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    _check_orders(t_order, x_order)
     T = t_order
     C = _tree_columns(k + 2, T)
 

@@ -96,6 +96,23 @@ def test_fuss_catalan_known_values():
     assert [catalan(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]
 
 
+def test_fuss_catalan_at_r_0_and_out_of_range_arguments():
+    # r = 0 is Raney's convention, 1 at n = 0 and 0 beyond, at k = 0 too,
+    # where kn + r is 0 for every n
+    for k in range(4):
+        assert [fuss_catalan(k, 0, n) for n in range(4)] == [1, 0, 0, 0]
+    # at k = 0 the formula reads C(r, n)
+    assert [fuss_catalan(0, 2, n) for n in range(4)] == [1, 2, 1, 0]
+    for k in range(-2, 4):
+        for r in range(-1, 3):
+            for n in range(-1, 4):
+                if n < 0 or k < 0 or r < 0:
+                    with pytest.raises(ValueError, match="must be >= 0"):
+                        fuss_catalan(k, r, n)
+                else:
+                    assert fuss_catalan(k, r, n) >= 0
+
+
 def test_fuss_catalan_terms_carry_each_term_exactly():
     # the carried binomial must equal a fresh one on both sides of n = k
     for k in range(1, 7):

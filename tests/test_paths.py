@@ -1,5 +1,6 @@
 """Path words, classification, compositions and the exhaustive generators."""
 
+import ast
 import copy
 import dataclasses
 import itertools
@@ -7,6 +8,7 @@ import pickle
 import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -519,10 +521,10 @@ def _reference_dyck_prefix(ascents):
 
 
 def test_kept_ascents_answer_as_the_definitional_bodies():
-    # once box_ascents has kept a path's ascents, classify, stats and the
-    # prefix map answer from them (k >= 1), or, at k = 0, where the
-    # virtual tuple is kept, by the walk; both must give what the
-    # definitional bodies give, field by field
+    # once box_ascents has kept a path's ascents (k >= 1), classify, stats
+    # and the prefix map answer from them; at k = 0, where nothing is
+    # kept, they answer by the walk; both must give what the definitional
+    # bodies give, field by field
     paths = [(k, p) for k in range(4) for n in range(1, 7)
              for p in generate_k_box(k, n)]
     paths += [(k, p) for k in (1, 2, 3) for p in _shaped_box_paths(k, 10**4)]
@@ -556,6 +558,44 @@ def test_a_path_with_kept_ascents_is_still_its_word():
         vars(path)
     with pytest.raises(TypeError):
         weakref.ref(path)
+
+
+# the slot, and the name its setter had when other modules imported it
+_SLOT = {"_ascents", "_set_ascents"}
+
+
+def _slot_uses(tree):
+    """How tree names the kept-ascents slot: as an attribute (the slot's
+    descriptor, which writes it), as a name or an import, or as a string
+    (as getattr and __slots__ take it)."""
+    uses = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _SLOT:
+            uses.add("attribute")
+        elif isinstance(node, ast.Name) and node.id in _SLOT:
+            uses.add("name")
+        elif isinstance(node, ast.alias) and _SLOT & {node.name, node.asname}:
+            uses.add("name")
+        elif isinstance(node, ast.Constant) and node.value in _SLOT:
+            uses.add("string")
+    return uses
+
+
+def test_only_the_gate_writes_the_kept_ascents():
+    # paths._accept keeps ascents only once they meet the bounds, and every
+    # reader trusts them; so no other module may name the slot, and within
+    # paths the gate is its one writer and stats its one other reader
+    source = Path(__file__).resolve().parent.parent / "src" / "boxpaths"
+    modules = {f.name: ast.parse(f.read_text())
+               for f in sorted(source.glob("*.py"))}
+    assert len(modules) > 1
+    assert [name for name, tree in modules.items()
+            if _slot_uses(tree)] == ["paths.py"]
+    functions = {node.name: _slot_uses(node)
+                 for node in ast.walk(modules["paths.py"])
+                 if isinstance(node, ast.FunctionDef) and _slot_uses(node)}
+    assert functions == {"_accept": {"attribute", "string"},
+                         "stats": {"string"}}
 
 
 def test_generate_skew_dyck_counts():

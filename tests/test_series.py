@@ -78,6 +78,32 @@ def test_build_rejects_non_integral_values():
             BiSeries.build(1, 1, [(0, 0, value)])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: BiSeries.build(-1, 3),
+    lambda: BiSeries.build(2, -1),
+    lambda: solve_skew_dyck_series(-1, -1),
+    lambda: solve_skew_dyck_series(2, -1),
+    lambda: tree_series(2, -1),
+    lambda: tree_series(2, 3, -1),
+    lambda: augmented_long_ascent_series(1, -1, 3),
+    lambda: long_ascent_series(0, -1, 2),
+    lambda: returns_series(1, 2, -1),
+], ids=["build-t", "build-x", "skew", "skew-x", "tree-x", "tree-t",
+        "augmented-t", "long-ascent-t", "returns-x"])
+def test_negative_orders_raise_at_the_call(call):
+    with pytest.raises(ValueError, match="_order must be >= 0"):
+        call()
+
+
+def test_zero_orders_hold_the_constant_term():
+    assert BiSeries.build(0, 0, [(0, 0, 3)]).coeffs == ((3,),)
+    for s in (solve_skew_dyck_series(0, 0), tree_series(3, 0),
+              augmented_long_ascent_series(2, 0, 0)):
+        assert s.coeffs == ((1,),)
+    for s in (long_ascent_series(1, 0, 0), returns_series(1, 0, 0)):
+        assert s.coeffs == ((0,),)
+
+
 def test_pow_zero_and_mismatched_orders():
     x = x_series(2, 4)
     assert x ** 0 == BiSeries.constant(1, 2, 4)
