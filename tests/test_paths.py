@@ -560,7 +560,7 @@ def test_a_path_with_kept_ascents_is_still_its_word():
         weakref.ref(path)
 
 
-# the slot, and the name its setter had when other modules imported it
+# the slot, and the name a setter bound to it would take
 _SLOT = {"_ascents", "_set_ascents"}
 
 
