@@ -103,7 +103,8 @@ def cmd_enumerate(args) -> int:
             raise ValueError("compositions only apply to --family box")
         if args.n < 0:
             raise ValueError("--n must be >= 0")
-        _write_lines(paths.skew_dyck_words(args.n))
+        # the chunks of skew_dyck_text hold whole lines
+        sys.stdout.writelines(paths.skew_dyck_text(args.n))
         return 0
     if args.k is None:
         raise ValueError("--family box needs --k")
@@ -116,20 +117,29 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-# lines per write in _write_lines: enough that a write's cost is spread
-# thin, few enough that one chunk of box words stays small
+# a chunk of _write_lines: at most this many lines, enough that a write's
+# cost is spread thin, and about this many characters, so that a chunk of
+# long box words stays small
 _LINES_PER_WRITE = 4096
+_CHUNK_TEXT = 2**20
 
 
 def _write_lines(lines) -> None:
     """Write each string, then a newline, to stdout: the lines are joined
-    in chunks of up to _LINES_PER_WRITE, one write each, which is cheaper
-    per line than print or a write per line."""
+    in chunks, one write each, which is cheaper per line than print or a
+    write per line.  The first chunk is one line; each later one holds as
+    many lines as _CHUNK_TEXT fits at the previous chunk's mean length,
+    from 1 to _LINES_PER_WRITE, so no line is measured on its own."""
     write = sys.stdout.write
     lines = iter(lines)
-    while chunk := list(islice(lines, _LINES_PER_WRITE)):
+    count = 1
+    while chunk := list(islice(lines, count)):
         chunk.append("")
-        write("\n".join(chunk))
+        text = "\n".join(chunk)
+        write(text)
+        # the text holds one newline a line, so it is never empty
+        count = min(_LINES_PER_WRITE,
+                    max(1, (len(chunk) - 1) * _CHUNK_TEXT // len(text)))
 
 
 def _biject_forward(path: paths.PathWord, to: str, k: int) -> str:
@@ -198,7 +208,9 @@ def _fuss_terms(r):
     n = 1, 2, ...: count_box(k, n) at r(k) = k + 1 and count_tailed(k, n)
     at r(k) = 1, built in one pass."""
     def values(k, count: int) -> list[int]:
-        if count and k < 0:
+        if not count:
+            return []
+        if k < 0:
             raise ValueError("k must be >= 0")
         return counting.fuss_catalan_terms(k + 2, r(k), count)
     return values

@@ -55,6 +55,10 @@ def fuss_catalan_terms(k: int, r: int, count: int) -> list[int]:
     (M+1)...(M+k) / (n (M-n+2)...(M-n+k)) of two k-factor products, which
     costs less than a fresh comb; before that, a fresh comb costs less.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if r < 1:
+        raise ValueError("r must be >= 1")
     out: list[int] = []
     c = 1  # C(kn + r, n)
     for n in range(count):

@@ -470,14 +470,15 @@ def _trusted_word(word: str) -> PathWord:
 # Every generator is one walk over a stack of (prefix, state) pairs in
 # word order; a state's first entry counts the moves left.  A family gives
 # only its moves: a dict whose moves[state] lists the (piece, next state)
-# pairs allowed next, in word order, found on first use, and whose
-# levels(i) lists the states i moves from the end.  Each prefix one move
-# above the table of completions yields its paths as one batch.  At 4096
-# entries the skew table is the 8 steps deep that measured fastest through
-# semilength 11 (six make four times as many batches, ten or twelve a table
-# six or thirty times larger for little gain), the Dyck table 11, and a
-# box table 5 ascents deep at k = 1, 4 at k = 2, 1 from k = 51, none past
-# k = 4095.
+# pairs allowed next, in word order, found on first use, whose levels(i)
+# lists the states i moves from the end, and whose batch joins a prefix
+# to the completions its moves lead to.  Each prefix one move above the
+# table of completions yields its paths as one batch.  At 4096 entries
+# the skew table is the 8 steps deep that measured fastest through
+# semilength 11 (six make four times as many batches, ten or twelve a
+# table six or thirty times larger for little gain), the Dyck table 11,
+# and a box table 5 ascents deep at k = 1, 4 at k = 2, 1 from k = 51,
+# none past k = 4095.
 _TAIL_BUDGET = 4096
 
 
@@ -501,33 +502,47 @@ def _table(moves: dict, empty, top: int | None = None) -> tuple[int, dict]:
                 return depth, table
         depth += 1
         for state in states:
-            table[state] = _batch(moves, table, empty, state)
+            table[state] = _batch(table, empty, moves[state])
     return depth, table
 
 
-def _batch(moves: dict, table: dict, prefix, state) -> list:
-    """prefix followed by every completion of a state one move above the
-    table."""
+def _batch(table: dict, prefix, after: list) -> list:
+    """prefix followed by every completion of each (piece, state) move in
+    after, a list in word order."""
     batch = []
-    for piece, nxt in moves[state]:
+    for piece, nxt in after:
         head = prefix + piece
         batch += map(head.__add__, table[nxt])
     return batch
 
 
-def _walk(moves: dict, depth: int, table: dict, start) -> Iterator[list]:
+def _text_batch(table: dict, prefix: str, after: list) -> str:
+    """_batch as one text: each word followed by a newline, joined at C
+    speed a move at a time rather than built word by word.  A move with no
+    completions adds nothing."""
+    text = []
+    for piece, nxt in after:
+        tails = table[nxt]
+        if tails:
+            head = prefix + piece
+            text += (head, ("\n" + head).join(tails), "\n")
+    return "".join(text)
+
+
+def _walk(moves: dict, depth: int, table: dict, start) -> Iterator:
     """The completions of start, a (prefix, state) pair, in word order,
-    one batch per prefix one move above the table."""
+    one moves.batch per prefix one move above the table."""
     prefix, state = start
     if state[0] <= depth:
-        # only skew words of semilength at most depth / 2 start here
-        yield list(map(prefix.__add__, table[state]))
+        # only skew words of semilength at most depth / 2 start here: the
+        # empty move leads to the table's own entry
+        yield moves.batch(table, prefix, [("", state)])
         return
     stack = [start]
     while stack:
         prefix, state = stack.pop()
         if state[0] <= depth + 1:
-            yield _batch(moves, table, prefix, state)
+            yield moves.batch(table, prefix, moves[state])
             continue
         # pushed last move first, so the pops follow word order
         stack += [(prefix + piece, nxt)
@@ -545,7 +560,9 @@ def _trusted_batch(words: list[str]) -> list[PathWord]:
 class _SkewMoves(dict):
     """The skew family's moves.  A state is (steps left, ups left, previous
     step), at height steps - 2 ups; the steps are U < D < L, and UL and LU
-    are forbidden factors."""
+    are forbidden factors.  A batch is text, one word a line."""
+
+    batch = staticmethod(_text_batch)
 
     def __init__(self, allow_left: bool):
         super().__init__()
@@ -577,8 +594,15 @@ def _skew_walk(allow_left: bool) -> tuple:
     return (moves, *_table(moves, ""))
 
 
-def _skew_batches(semilength: int, allow_left: bool) -> Iterator[list[str]]:
-    """The words of skew_dyck_words, one list per batch of _walk."""
+def skew_dyck_text(semilength: int, allow_left: bool = True) -> Iterator[str]:
+    """Yield the words of skew_dyck_words as chunks of text, each word
+    followed by a newline; every chunk holds whole lines, and a word of
+    semilength m is a line of 2m letters.
+
+    The chunks are the batches of the shared walk over a table of the
+    last steps cached for each allow_left.  Argument errors raise at the
+    call, not at the first next().
+    """
     if semilength < 0:
         raise ValueError("semilength must be >= 0")
     # the empty start acts as a D, which forbids neither U nor L
@@ -591,21 +615,23 @@ def skew_dyck_words(semilength: int, allow_left: bool = True) -> Iterator[str]:
     plain strings, lexicographically (U < D < L); with allow_left=False,
     the Dyck words.
 
-    The words stream from the shared walk over a table of the last steps
-    cached for each allow_left.  Argument errors raise at the call, not at
+    The words are the lines of skew_dyck_text, split a chunk at a time;
+    splitlines leaves no empty piece after the last newline, and a word
+    holds no other line break.  Argument errors raise at the call, not at
     the first next().
     """
-    return chain.from_iterable(_skew_batches(semilength, allow_left))
+    return chain.from_iterable(map(str.splitlines,
+                                   skew_dyck_text(semilength, allow_left)))
 
 
 def generate_skew_dyck(semilength: int, allow_left: bool = True) -> Iterator[PathWord]:
     """Yield all skew Dyck paths of the given semilength, lexicographically (U < D < L).
 
-    The paths are the words of skew_dyck_words, wrapped batch by batch and
-    not validated again.
+    The paths are the words of skew_dyck_words, wrapped a chunk at a time
+    and not validated again.
     """
-    batches = _skew_batches(semilength, allow_left)
-    return chain.from_iterable(map(_trusted_batch, batches))
+    chunks = skew_dyck_text(semilength, allow_left)
+    return chain.from_iterable(map(_trusted_batch, map(str.splitlines, chunks)))
 
 
 def generate_dyck(semilength: int) -> Iterator[PathWord]:
@@ -650,7 +676,9 @@ class _BoxMoves(dict):
     """The box family's moves at size n.  A state is (ascents left, slack),
     where the ascents placed sum to slack more than their bound (k+2)i, and
     a move places the next ascent a as its template block, U^a D^k L D or
-    U^a D^k L for the last, or as the 1-tuple (a,)."""
+    U^a D^k L for the last, or as the 1-tuple (a,).  A batch is a list."""
+
+    batch = staticmethod(_batch)
 
     def __init__(self, k: int, n: int, words: bool):
         super().__init__()

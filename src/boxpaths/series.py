@@ -452,10 +452,3 @@ def returns_residual(H: BiSeries, C: BiSeries, k: int) -> BiSeries:
     t, x = _t(H.t_order, H.x_order), _x(H.t_order, H.x_order)
     return H * (1 - t * x * C ** (k + 1)) - t * x * C ** k
 
-
-def dump_coefficients(series: BiSeries) -> str:
-    """Tab-separated triples j, n, value in row-major (n, then j) order."""
-    lines = [f"{j}\t{n}\t{series.coefficient(j, n)}"
-             for n in range(series.x_order + 1)
-             for j in range(series.t_order + 1)]
-    return "\n".join(lines) + "\n"

@@ -396,11 +396,37 @@ def _family_minimality(ctx: _Ctx):
     for k, n in product(range(1, top_k + 1), range(1, top_n + 1)):
         factor, m_box = "U" + "D" * k + "L", (k + 2) * n - 1
         for m in range(1, m_box + 1):
-            carriers = {w for w in paths.skew_dyck_words(m) if w.count(factor) == n}
+            carriers = _carriers(m, factor, n)
             if carriers:
                 break
         yield (f"lowest semilength with {n} {factor}-factors, its carriers",
                (m, carriers), (m_box, {p.word for p in ctx.box(k, n)}), _skew(m))
+
+
+# the letters of a word, which _carriers deletes to leave its marks
+_LETTERS = str.maketrans("", "", "UDL")
+
+
+def _carriers(m: int, factor: str, n: int) -> set[str]:
+    """The skew words of semilength m with exactly n factors U D^k L,
+    found in each chunk of paths.skew_dyck_text at C speed.
+
+    Each factor becomes U D^k X and every other letter is deleted, so a
+    line with c factors reads X^c; U D^k L cannot overlap itself, so c is
+    the line's factor count.  Every line is 2m letters and a newline, so a
+    hit's line index, counted in newlines, locates its word in the chunk.
+    """
+    mark, hit, width = factor[:-1] + "X", "\n" + "X" * n + "\n", 2 * m + 1
+    carriers = set()
+    for text in paths.skew_dyck_text(m):
+        marks = "\n" + text.replace(factor, mark).translate(_LETTERS)
+        line = pos = 0
+        while (found := marks.find(hit, pos)) >= 0:
+            line += marks.count("\n", pos, found)
+            carriers.add(text[line * width:(line + 1) * width - 1])
+            # the hit's closing newline opens the next line
+            line, pos = line + 1, found + len(hit) - 1
+    return carriers
 
 
 @_register("bijections", "dyck-convention", lambda ctx: f"n<={ctx.max_n}")

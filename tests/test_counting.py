@@ -122,6 +122,15 @@ def test_fuss_catalan_terms_carry_each_term_exactly():
     assert fuss_catalan_terms(3, 2, 0) == []
 
 
+def test_fuss_catalan_terms_reject_k_or_r_below_1():
+    # the carried ratio holds only for k, r >= 1: at k = 0 it gave
+    # [1, 1, 0, 0] for fuss_catalan's [1, 2, 1, 0], and r = 0 and k = -1
+    # divided by zero
+    for k, r in ((0, 2), (2, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            fuss_catalan_terms(k, r, 4)
+
+
 @pytest.mark.parametrize("k,expected", [(1, BOX_COUNTS_K1), (2, BOX_COUNTS_K2)])
 def test_count_box_rows(k, expected):
     assert [count_box(k, n) for n in range(1, 9)] == expected

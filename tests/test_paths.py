@@ -33,6 +33,7 @@ from boxpaths import (
     parse_composition,
     parse_path,
     path_of_composition,
+    skew_dyck_text,
     skew_dyck_words,
     stats,
 )
@@ -658,6 +659,17 @@ def test_generate_skew_dyck_matches_the_per_word_generator():
         generate_skew_dyck(-1)
     with pytest.raises(ValueError):
         skew_dyck_words(-1)
+
+
+def test_skew_dyck_text_is_the_per_word_stream_a_line_each():
+    for allow_left in (True, False):
+        for m in range(10):
+            want = _reference_completions(2 * m, m, "D", allow_left)
+            chunks = list(skew_dyck_text(m, allow_left))
+            assert all(text.endswith("\n") for text in chunks)
+            assert "".join(chunks) == "".join(w + "\n" for w in want)
+    with pytest.raises(ValueError):
+        skew_dyck_text(-1)
 
 
 def test_generate_skew_dyck_semilength_two():

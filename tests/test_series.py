@@ -15,7 +15,6 @@ from boxpaths import (
     count_box,
     count_box_by_long_ascents,
     count_box_by_returns,
-    dump_coefficients,
     fuss_catalan,
     generate_skew_dyck,
     long_ascent_residual,
@@ -304,11 +303,3 @@ def test_returns_series_matches_table():
             for j in range(1, min(n, 6) + 1):
                 assert H.coefficient(j, n) == count_box_by_returns(k, n, j)
 
-
-def test_dump_coefficients_format():
-    s = BiSeries.build(1, 2, [(0, 0, 1), (1, 2, 5)])
-    lines = dump_coefficients(s).splitlines()
-    assert lines[0] == "0\t0\t1"
-    assert lines[-1] == "1\t2\t5"
-    # row-major: all j=0 cells before the j=1 cells
-    assert len(lines) == 2 * 3

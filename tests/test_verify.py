@@ -10,6 +10,7 @@ import re
 import shlex
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -113,15 +114,16 @@ def test_injected_count_fault_reaches_bijection_suite(monkeypatch):
 def test_injected_generator_fault_reaches_family_minimality(monkeypatch):
     # the check must enumerate through the module attribute: drop the skew
     # paths of semilength 7 with two UDDL factors (the 2-box paths of size 2)
-    real = paths.skew_dyck_words
+    real = paths.skew_dyck_text
 
     def dropping(semilength, allow_left=True):
-        words = real(semilength, allow_left)
+        chunks = real(semilength, allow_left)
         if semilength != 7:
-            return words
-        return (w for w in words if w.count("UDDL") != 2)
+            return chunks
+        return ("".join(w + "\n" for w in text.split("\n")[:-1]
+                        if w.count("UDDL") != 2) for text in chunks)
 
-    monkeypatch.setattr(paths, "skew_dyck_words", dropping)
+    monkeypatch.setattr(paths, "skew_dyck_text", dropping)
     report = run_suite("bijections", 2, 2)
     bad = [c for c in report.checks if not c.passed]
     assert [c.name for c in bad] == ["family-minimality"]
@@ -130,26 +132,42 @@ def test_injected_generator_fault_reaches_family_minimality(monkeypatch):
 
 def test_family_minimality_scans_every_skew_word(monkeypatch):
     # the brute force stays exhaustive: for each k in {1, 2} and n <= 3 it
-    # reads every skew word of every semilength 1..(k+2)n - 1 (OEIS A002212)
+    # reads every skew word of every semilength 1..(k+2)n - 1 (OEIS A002212),
+    # one line of text each, in _carriers, the check's scan
     a002212 = [1, 1, 3, 10, 36, 137, 543, 2219, 9285, 39587, 171369, 751236]
-    real = paths.skew_dyck_words
+    real = paths.skew_dyck_text
     read = Counter()
 
     def counted(semilength, allow_left=True):
         caller = sys._getframe(1).f_code.co_name
 
-        def reading(words):
-            for word in words:
-                read[caller] += 1
-                yield word
+        def reading(chunks):
+            for text in chunks:
+                read[caller] += text.count("\n")
+                yield text
 
         return reading(real(semilength, allow_left))
 
-    monkeypatch.setattr(paths, "skew_dyck_words", counted)
+    monkeypatch.setattr(paths, "skew_dyck_text", counted)
     assert run_suite("bijections", 2, 3).ok
     want = sum(a002212[m] for k in (1, 2) for n in (1, 2, 3)
                for m in range(1, (k + 2) * n))
-    assert read["_family_minimality"] == want
+    assert read["_carriers"] == want
+
+
+def test_carriers_scan_matches_the_per_word_count():
+    # the text scan against the comprehension it replaced, on carriers
+    # that open and close a chunk as well as inside one
+    edges = set()
+    for k, n, m in product((1, 2), range(1, 5), range(10)):
+        factor = "U" + "D" * k + "L"
+        want = {w for w in paths.skew_dyck_words(m) if w.count(factor) == n}
+        assert verify._carriers(m, factor, n) == want
+        for text in paths.skew_dyck_text(m):
+            lines = text.split("\n")[:-1]
+            edges.update(end for end, w in (("first", lines[0]), ("last", lines[-1]))
+                         if w.count(factor) == n)
+    assert edges == {"first", "last"}
 
 
 def test_records_carry_wall_time():
