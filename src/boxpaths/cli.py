@@ -103,43 +103,35 @@ def cmd_enumerate(args) -> int:
             raise ValueError("compositions only apply to --family box")
         if args.n < 0:
             raise ValueError("--n must be >= 0")
-        # the chunks of skew_dyck_text hold whole lines
-        sys.stdout.writelines(paths.skew_dyck_text(args.n))
-        return 0
-    if args.k is None:
+        chunks = paths.skew_dyck_text(args.n)
+    elif args.k is None:
         raise ValueError("--family box needs --k")
-    if args.format == "compositions":
+    elif args.format == "compositions":
         # for k = 0 these are the virtual ascent tuples
-        _write_lines(",".join(map(str, parts))
-                     for parts in paths.generate_box_ascents(args.k, args.n))
-        return 0
-    _write_lines(map(attrgetter("word"), paths.generate_k_box(args.k, args.n)))
+        chunks = paths.k_box_text(args.k, args.n, compositions=True)
+    else:
+        chunks = _box_word_chunks(args.k, args.n)
+    # every chunk holds whole lines
+    sys.stdout.writelines(chunks)
     return 0
 
 
-# a chunk of _write_lines: at most this many lines, enough that a write's
-# cost is spread thin, and about this many characters, so that a chunk of
-# long box words stays small
-_LINES_PER_WRITE = 4096
-_CHUNK_TEXT = 2**20
+# about the letters of a chunk of _box_word_chunks: enough that a write's
+# cost is spread thin, and few beside the words of a large k
+_CHUNK_TEXT = 2**16
 
 
-def _write_lines(lines) -> None:
-    """Write each string, then a newline, to stdout: the lines are joined
-    in chunks, one write each, which is cheaper per line than print or a
-    write per line.  The first chunk is one line; each later one holds as
-    many lines as _CHUNK_TEXT fits at the previous chunk's mean length,
-    from 1 to _LINES_PER_WRITE, so no line is measured on its own."""
-    write = sys.stdout.write
-    lines = iter(lines)
-    count = 1
-    while chunk := list(islice(lines, count)):
+def _box_word_chunks(k: int, n: int):
+    """The words of paths.generate_k_box(k, n), each followed by a newline,
+    joined in chunks of about _CHUNK_TEXT letters; a word of size n has at
+    most 2((k+2)n - 1).  They are read from generate_k_box, not from
+    paths.k_box_text, so that enumerate lists what the generator yields:
+    the exhaustive-maps benchmark checks the generator through it."""
+    words = map(attrgetter("word"), paths.generate_k_box(k, n))
+    count = max(1, _CHUNK_TEXT // (2 * (k + 2) * n))
+    while chunk := list(islice(words, count)):
         chunk.append("")
-        text = "\n".join(chunk)
-        write(text)
-        # the text holds one newline a line, so it is never empty
-        count = min(_LINES_PER_WRITE,
-                    max(1, (len(chunk) - 1) * _CHUNK_TEXT // len(text)))
+        yield "\n".join(chunk)
 
 
 def _biject_forward(path: paths.PathWord, to: str, k: int) -> str:

@@ -184,6 +184,8 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
     scan, then at k >= 2 the augmented (k+1)-Dyck test.  _accept keeps
     accepted ascents on the path, or reads them back if kept already.
     """
+    if k is not None and k < 0:
+        raise ValueError("k must be >= 0")
     word = path.word
     if k is not None and k >= 1:
         parts = _accept(path, k)
@@ -199,8 +201,6 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
     cls = PathClass(True, None, dyck, semilength, k=k)
     if k is None:
         return cls
-    if k < 0:
-        raise ValueError("k must be >= 0")
     if k == 0:
         if dyck:
             return PathClass(True, None, True, semilength, k=0,
@@ -427,15 +427,25 @@ def _box_word(parts, k: int) -> PathWord:
 
 def box_return_count(path: PathWord, k: int) -> int:
     """Returns of a k-box path; the k = 0 virtual tail adds one return."""
-    st = stats(path)
+    st = _box_stats(path, k)
     return st.returns + 1 if k == 0 else st.returns
 
 
 def box_long_ascent_count(path: PathWord, k: int) -> int:
     """Long ascents of a k-box path; for k = 0 every virtual ascent is long,
     so this is the ascent (equivalently peak) count of the Dyck word."""
-    st = stats(path)
+    st = _box_stats(path, k)
     return st.ascents if k == 0 else st.long_ascents
+
+
+def _box_stats(path: PathWord, k: int) -> PathStats:
+    """stats of a k-box path, any other word or k < 0 rejected as by
+    box_ascents, which keeps the ascents that stats reads at k >= 1.  An
+    L-free word is a 0-box path iff it is a skew Dyck path, so at k = 0
+    stats alone scans it and rejects the rest."""
+    if k or "L" in path.word:
+        box_ascents(path, k)
+    return stats(path)
 
 
 def _unchecked(cls, **values):
@@ -470,11 +480,11 @@ def _trusted_word(word: str) -> PathWord:
 # Every generator is one walk over a stack of (prefix, state) pairs in
 # word order; a state's first entry counts the moves left.  A family gives
 # only its moves: a dict whose moves[state] lists the (piece, next state)
-# pairs allowed next, in word order, found on first use, whose levels(i)
-# lists the states i moves from the end, and whose batch joins a prefix
-# to the completions its moves lead to.  Each prefix one move above the
-# table of completions yields its paths as one batch.  At 4096 entries
-# the skew table is the 8 steps deep that measured fastest through
+# pairs allowed next, in word order, found on first use, and whose
+# levels(i) lists the states i moves from the end.  A piece is text, and
+# so is every batch: each prefix one move above the table of completions
+# yields its words as one text, each followed by a newline.  At 4096
+# entries the skew table is the 8 steps deep that measured fastest through
 # semilength 11 (six make four times as many batches, ten or twelve a
 # table six or thirty times larger for little gain), the Dyck table 11,
 # and a box table 5 ascents deep at k = 1, 4 at k = 2, 1 from k = 51,
@@ -482,7 +492,7 @@ def _trusted_word(word: str) -> PathWord:
 _TAIL_BUDGET = 4096
 
 
-def _table(moves: dict, empty, top: int | None = None) -> tuple[int, dict]:
+def _table(moves: dict, top: int | None = None) -> tuple[int, dict]:
     """(depth, table): table[state] lists every completion of each state
     at most depth moves from the end, in word order, the finished states'
     one completion being empty.
@@ -492,7 +502,7 @@ def _table(moves: dict, empty, top: int | None = None) -> tuple[int, dict]:
     _TAIL_BUDGET, so a level far over it lists few moves; the depth is the
     last level (at most top) that fits.
     """
-    table = dict.fromkeys(moves.levels(0), [empty])
+    table = dict.fromkeys(moves.levels(0), [""])
     depth = size = 0
     while top is None or depth < top:
         states = moves.levels(depth + 1)
@@ -502,23 +512,23 @@ def _table(moves: dict, empty, top: int | None = None) -> tuple[int, dict]:
                 return depth, table
         depth += 1
         for state in states:
-            table[state] = _batch(table, empty, moves[state])
+            table[state] = _batch(table, moves[state])
     return depth, table
 
 
-def _batch(table: dict, prefix, after: list) -> list:
-    """prefix followed by every completion of each (piece, state) move in
-    after, a list in word order."""
+def _batch(table: dict, after: list) -> list[str]:
+    """Every completion of each (piece, state) move in after, a list in
+    word order."""
     batch = []
     for piece, nxt in after:
-        head = prefix + piece
-        batch += map(head.__add__, table[nxt])
+        batch += map(piece.__add__, table[nxt])
     return batch
 
 
 def _text_batch(table: dict, prefix: str, after: list) -> str:
-    """_batch as one text: each word followed by a newline, joined at C
-    speed a move at a time rather than built word by word.  A move with no
+    """prefix followed by every completion of each (piece, state) move in
+    after, as one text: each word followed by a newline, joined at C speed
+    a move at a time rather than built word by word.  A move with no
     completions adds nothing."""
     text = []
     for piece, nxt in after:
@@ -529,29 +539,30 @@ def _text_batch(table: dict, prefix: str, after: list) -> str:
     return "".join(text)
 
 
-def _walk(moves: dict, depth: int, table: dict, start) -> Iterator:
+def _walk(moves: dict, depth: int, table: dict, start) -> Iterator[str]:
     """The completions of start, a (prefix, state) pair, in word order,
-    one moves.batch per prefix one move above the table."""
+    one _text_batch per prefix one move above the table."""
     prefix, state = start
     if state[0] <= depth:
         # only skew words of semilength at most depth / 2 start here: the
         # empty move leads to the table's own entry
-        yield moves.batch(table, prefix, [("", state)])
+        yield _text_batch(table, prefix, [("", state)])
         return
     stack = [start]
     while stack:
         prefix, state = stack.pop()
         if state[0] <= depth + 1:
-            yield moves.batch(table, prefix, moves[state])
+            yield _text_batch(table, prefix, moves[state])
             continue
         # pushed last move first, so the pops follow word order
         stack += [(prefix + piece, nxt)
                   for piece, nxt in reversed(moves[state])]
 
 
-def _trusted_batch(words: list[str]) -> list[PathWord]:
-    """_trusted_word over a whole batch at C speed, with no Python call per
-    word; the empty deque drains the slot's set calls."""
+def _trusted_batch(chunk: str) -> list[PathWord]:
+    """_trusted_word over every line of a chunk at C speed, with no Python
+    call per word; the empty deque drains the slot's set calls."""
+    words = chunk.splitlines()
     batch = list(map(object.__new__, repeat(PathWord, len(words))))
     deque(map(PathWord.word.__set__, batch, words), 0)
     return batch
@@ -560,9 +571,7 @@ def _trusted_batch(words: list[str]) -> list[PathWord]:
 class _SkewMoves(dict):
     """The skew family's moves.  A state is (steps left, ups left, previous
     step), at height steps - 2 ups; the steps are U < D < L, and UL and LU
-    are forbidden factors.  A batch is text, one word a line."""
-
-    batch = staticmethod(_text_batch)
+    are forbidden factors."""
 
     def __init__(self, allow_left: bool):
         super().__init__()
@@ -591,7 +600,7 @@ def _skew_walk(allow_left: bool) -> tuple:
     """(moves, depth, table) of the skew family, built once for each value
     of allow_left and not changed after, but for moves found later."""
     moves = _SkewMoves(allow_left)
-    return (moves, *_table(moves, ""))
+    return (moves, *_table(moves))
 
 
 def skew_dyck_text(semilength: int, allow_left: bool = True) -> Iterator[str]:
@@ -599,9 +608,9 @@ def skew_dyck_text(semilength: int, allow_left: bool = True) -> Iterator[str]:
     followed by a newline; every chunk holds whole lines, and a word of
     semilength m is a line of 2m letters.
 
-    The chunks are the batches of the shared walk over a table of the
-    last steps cached for each allow_left.  Argument errors raise at the
-    call, not at the first next().
+    The chunks are the batches of the walk that k_box_text shares, over a
+    table of the last steps cached for each allow_left.  Argument errors
+    raise at the call, not at the first next().
     """
     if semilength < 0:
         raise ValueError("semilength must be >= 0")
@@ -630,8 +639,8 @@ def generate_skew_dyck(semilength: int, allow_left: bool = True) -> Iterator[Pat
     The paths are the words of skew_dyck_words, wrapped a chunk at a time
     and not validated again.
     """
-    chunks = skew_dyck_text(semilength, allow_left)
-    return chain.from_iterable(map(_trusted_batch, map(str.splitlines, chunks)))
+    return chain.from_iterable(map(_trusted_batch,
+                                   skew_dyck_text(semilength, allow_left)))
 
 
 def generate_dyck(semilength: int) -> Iterator[PathWord]:
@@ -645,24 +654,32 @@ def generate_dyck(semilength: int) -> Iterator[PathWord]:
 def generate_k_box(k: int, n: int) -> Iterator[PathWord]:
     """Yield all k-box paths of size n in lexicographic word order.
 
-    The paths stream from the shared walk over the ascents, each batch
-    concatenated from the template blocks U^a D^k L D and wrapped without
-    being validated again.  Argument errors raise at the call, not at the
+    The paths are the lines of k_box_text, wrapped a chunk at a time and
+    not validated again.  Argument errors raise at the call, not at the
     first next().
     """
-    _check_box_args(k, n)
-    if k == 0:
-        return generate_dyck(n - 1)
-    return chain.from_iterable(map(_trusted_batch, _box_batches(k, n, True)))
+    return chain.from_iterable(map(_trusted_batch, k_box_text(k, n)))
 
 
-def generate_box_ascents(k: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the ascent tuples of generate_k_box(k, n)'s paths, in the same
-    order, without building the paths; for k = 0 the virtual tuples of
-    box_ascents."""
+def k_box_text(k: int, n: int, compositions: bool = False) -> Iterator[str]:
+    """Yield the k-box paths of size n as chunks of text, in lexicographic
+    word order, each path followed by a newline; every chunk holds whole
+    lines.  A path is its word, or with compositions=True its ascents
+    a1,...,an; for k = 0 the Dyck words of semilength n - 1, or their
+    virtual tuples of box_ascents.
+
+    The words of k = 0 are skew_dyck_text's; the rest are the batches of
+    the shared walk over the ascents, with a table built for the call and
+    kept by nothing else.  It is at most n - 2 ascents deep: level n - 1
+    would hold as many entries as the call has paths.  Argument errors
+    raise at the call, not at the first next().
+    """
     _check_box_args(k, n)
+    if k == 0 and not compositions:
+        return skew_dyck_text(n - 1, allow_left=False)
     # the virtual 0-box tuples obey the same bounds with k = 0
-    return chain.from_iterable(_box_batches(k, n, False))
+    moves = _BoxMoves(k, n, compositions)
+    return _walk(moves, *_table(moves, n - 2), ("", (n, 0)))
 
 
 def _check_box_args(k: int, n: int) -> None:
@@ -675,22 +692,22 @@ def _check_box_args(k: int, n: int) -> None:
 class _BoxMoves(dict):
     """The box family's moves at size n.  A state is (ascents left, slack),
     where the ascents placed sum to slack more than their bound (k+2)i, and
-    a move places the next ascent a as its template block, U^a D^k L D or
-    U^a D^k L for the last, or as the 1-tuple (a,).  A batch is a list."""
+    a move places the next ascent a as text: its template block, U^a D^k L D
+    or U^a D^k L for the last, or for compositions "a," or "a" for the
+    last."""
 
-    batch = staticmethod(_batch)
-
-    def __init__(self, k: int, n: int, words: bool):
+    def __init__(self, k: int, n: int, compositions: bool):
         super().__init__()
         self.k = k
         # an ascent is at most (k + 1) n, the last one at most k + 1
-        if words:
+        if compositions:
+            self.finals = list(map(str, range(k + 2)))
+            self.blocks = [f"{a}," for a in range((k + 1) * n + 1)]
+        else:
             last = "D" * k + "L"
             self.finals = ["U" * a + last for a in range(k + 2)]
             self.blocks = ["U" * a + last + "D"
                            for a in range((k + 1) * n + 1)]
-        else:
-            self.blocks = self.finals = [(a,) for a in range((k + 1) * n + 1)]
 
     def levels(self, r: int) -> list:
         if not r:
@@ -717,16 +734,3 @@ class _BoxMoves(dict):
                      for a in range(rest - r + 1, max(1, step - slack) - 1, -1)]
         self[state] = after
         return after
-
-
-def _box_batches(k: int, n: int, words: bool) -> Iterator[list]:
-    """The paths of size n as words (or their ascents as tuples), one list
-    per batch of _walk.
-
-    The table is built for the call and kept by nothing else.  It is at
-    most n - 2 ascents deep: level n - 1 would hold as many entries as the
-    call has paths.
-    """
-    moves = _BoxMoves(k, n, words)
-    empty = "" if words else ()
-    return _walk(moves, *_table(moves, empty, n - 2), (empty, (n, 0)))

@@ -3,6 +3,7 @@
 import ast
 import copy
 import dataclasses
+import functools
 import itertools
 import pickle
 import re
@@ -30,6 +31,7 @@ from boxpaths import (
     generate_dyck,
     generate_k_box,
     generate_skew_dyck,
+    k_box_text,
     parse_composition,
     parse_path,
     path_of_composition,
@@ -45,7 +47,6 @@ from boxpaths.paths import (
     _scan_skew,
     _skew_walk,
     _table,
-    generate_box_ascents,
 )
 from boxpaths.trees import _strip_augmented
 
@@ -316,6 +317,8 @@ def _reference_scan_skew(word):
 
 
 def _reference_classify(path, k=None):
+    if k is not None and k < 0:
+        raise ValueError("k must be >= 0")
     word = path.word
     ok, reason = _reference_scan_skew(word)
     if not ok:
@@ -325,8 +328,6 @@ def _reference_classify(path, k=None):
     cls = PathClass(True, None, dyck, semilength, k=k)
     if k is None:
         return cls
-    if k < 0:
-        raise ValueError("k must be >= 0")
     if k == 0:
         if dyck:
             return PathClass(True, None, True, semilength, k=0,
@@ -394,10 +395,6 @@ def test_classify_matches_the_definitional_body():
              for path in words for k in (None, 0, 1, 2, 3, 4)
              if classify(path, k) != _reference_classify(path, k)]
     assert wrong == []
-    with pytest.raises(ValueError, match="k must be >= 0"):
-        classify(PathWord("UUDL"), -1)
-    # a word that is not skew is classified before k is read
-    assert classify(PathWord("UL"), -1) == _reference_classify(PathWord("UL"), -1)
 
 
 def _one_letter_changes(word):
@@ -662,12 +659,22 @@ def test_generate_skew_dyck_matches_the_per_word_generator():
 
 
 def test_skew_dyck_text_is_the_per_word_stream_a_line_each():
+    streams = []
     for allow_left in (True, False):
         for m in range(10):
             want = _reference_completions(2 * m, m, "D", allow_left)
-            chunks = list(skew_dyck_text(m, allow_left))
-            assert all(text.endswith("\n") for text in chunks)
-            assert "".join(chunks) == "".join(w + "\n" for w in want)
+            streams.append((skew_dyck_text(m, allow_left), want))
+    # the box words and compositions are one walk's two spellings
+    cases = [(k, n) for k in range(4) for n in range(1, 7)]
+    cases += [(200, 2), (512, 2), (4096, 1)]
+    for k, n in cases:
+        words, tuples = _reference_box_lines(k, n)
+        streams.append((k_box_text(k, n), words))
+        streams.append((k_box_text(k, n, compositions=True), tuples))
+    for chunks, want in streams:
+        chunks = list(chunks)
+        assert all(text.endswith("\n") for text in chunks)
+        assert "".join(chunks) == "".join(w + "\n" for w in want)
     with pytest.raises(ValueError):
         skew_dyck_text(-1)
 
@@ -716,12 +723,18 @@ def test_generate_k_box_words_are_their_compositions():
             assert all(a > b for a, b in zip(tuples, tuples[1:]))
 
 
-def test_generate_box_ascents_follow_the_words():
+def _compositions(k, n):
+    """The ascent tuples of k_box_text's compositions, in order."""
+    text = "".join(k_box_text(k, n, compositions=True))
+    return [tuple(map(int, line.split(","))) for line in text.splitlines()]
+
+
+def test_box_compositions_follow_the_words():
     # the tuples come from the generator's walk, not from the words
     for k in range(4):
         for n in range(1, 7):
             want = [box_ascents(p, k) for p in generate_k_box(k, n)]
-            assert list(generate_box_ascents(k, n)) == want
+            assert _compositions(k, n) == want
 
 
 # The box generators' walk as it was before the tail table, one stack pop
@@ -740,6 +753,24 @@ def _reference_ascent_walk(k, n, start, pieces, finals):
             stack.append((prefix + pieces[a], i + 1, placed + a))
 
 
+def _reference_box_lines(k, n):
+    """(words, compositions) of the k-box paths of size n from the
+    reference walk, the compositions as text lines a1,...,an."""
+    top = (k + 1) * n + 1
+    singles = [(a,) for a in range(top)]
+    if k:
+        pieces = ["U" * a + "D" * k + "LD" for a in range(top)]
+        finals = ["U" * a + "D" * k + "L" for a in range(k + 2)]
+    else:
+        # the Dyck word of the virtual tuple: U^(a-1) D for each part
+        # but the last, which is 1
+        pieces = [""] + ["U" * (a - 1) + "D" for a in range(1, top)]
+        finals = ["", ""]
+    words = list(_reference_ascent_walk(k, n, "", pieces, finals))
+    tuples = _reference_ascent_walk(k, n, (), singles, singles)
+    return words, [",".join(map(str, parts)) for parts in tuples]
+
+
 def test_box_generators_match_the_walk_in_order():
     # sizes up to three past the table's depth, so batches come both from
     # the whole table and from prefixes the walk builds; k = 17 and 20 fill
@@ -748,20 +779,10 @@ def test_box_generators_match_the_walk_in_order():
     cases += [(k, n) for k in (17, 20) for n in (1, 2, 3, 4)]
     cases += [(512, 1), (512, 2)]
     for k, n in cases:
-        top = (k + 1) * n + 1
-        singles = [(a,) for a in range(top)]
-        if k:
-            pieces = ["U" * a + "D" * k + "LD" for a in range(top)]
-            finals = ["U" * a + "D" * k + "L" for a in range(k + 2)]
-        else:
-            # the Dyck word of the virtual tuple: U^(a-1) D for each part
-            # but the last, which is 1
-            pieces = [""] + ["U" * (a - 1) + "D" for a in range(1, top)]
-            finals = ["", ""]
-        want = list(_reference_ascent_walk(k, n, (), singles, singles))
-        assert list(generate_box_ascents(k, n)) == want, (k, n)
-        want = list(_reference_ascent_walk(k, n, "", pieces, finals))
-        assert [p.word for p in generate_k_box(k, n)] == want, (k, n)
+        words, tuples = _reference_box_lines(k, n)
+        assert "".join(k_box_text(k, n, compositions=True)).splitlines() == (
+            tuples), (k, n)
+        assert [p.word for p in generate_k_box(k, n)] == words, (k, n)
 
 
 def _box_depth(k, top=9):
@@ -805,16 +826,18 @@ def test_skew_tables_hold_every_completion_within_the_budget():
 def test_box_tail_table_stays_within_its_budget(monkeypatch):
     built = []
 
-    def recorded(moves, empty, top=None):
-        depth, table = _table(moves, empty, top)
+    def recorded(moves, top=None):
+        depth, table = _table(moves, top)
         built.append((top, depth, _held(table)))
         return depth, table
 
+    # the Dyck table is cached before the patch, so only box tables count
+    _skew_walk(False)
     monkeypatch.setattr("boxpaths.paths._table", recorded)
     # a size-n call's table stops at level n - 2 or at the budget; the
     # words' template blocks grow with k n, so large k takes small n, and
     # k = 4095 the tuples only
-    both = (generate_k_box, generate_box_ascents)
+    both = (generate_k_box, functools.partial(k_box_text, compositions=True))
     cases = [(k, 11, both) for k in range(61)]
     cases += [(511, 3, both), (512, 3, both), (4095, 3, both[1:])]
     for k, n, gens in cases:
@@ -833,7 +856,7 @@ def test_box_tail_table_stays_within_its_budget(monkeypatch):
     assert [_box_depth(k) for k in (1, 2, 3, 50, 51, 4095, 4096)] == [
         5, 4, 4, 2, 1, 1, 0]
     built.clear()
-    generate_box_ascents(4096, 3)
+    k_box_text(4096, 3, compositions=True)
     assert built == [(1, 0, 0)]
     # a call of size n builds no level as deep as n - 1, so no level as
     # large as its own output
@@ -855,7 +878,7 @@ def test_box_generators_at_a_large_k_stay_small():
             tracemalloc.stop()
         assert count == k + 1
         assert peak < 8 * 2**20, (k, peak)
-        assert sum(1 for _ in generate_box_ascents(k, 2)) == k + 1
+        assert len(_compositions(k, 2)) == k + 1
 
 
 def test_generated_words_equal_validated_words():
@@ -894,12 +917,28 @@ def test_domain_errors():
         generate_k_box(1, 0)
     with pytest.raises(ValueError):
         generate_k_box(0, 0)
-    with pytest.raises(ValueError):
-        generate_box_ascents(-1, 2)
-    with pytest.raises(ValueError):
-        generate_box_ascents(1, 0)
+    for compositions in (False, True):
+        with pytest.raises(ValueError):
+            k_box_text(-1, 2, compositions)
+        with pytest.raises(ValueError):
+            k_box_text(1, 0, compositions)
+        with pytest.raises(ValueError):
+            k_box_text(0, 0, compositions)
     with pytest.raises(ValueError):
         generate_skew_dyck(-1)
+    # k < 0 is rejected before the word is read
+    for word in ("L", "UL", "UD", "UUDL"):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            classify(PathWord(word), -1)
+    # the box statistics answer for k-box paths only
+    for stat in (box_return_count, box_long_ascent_count):
+        with pytest.raises(ValueError):
+            stat(PathWord("UUDL"), -1)
+        with pytest.raises(InvalidPathError):
+            stat(PathWord("UDUD"), 1)
+        for word in ("UUDL", "DU"):
+            with pytest.raises(InvalidPathError):
+                stat(PathWord(word), 0)
 
 
 @st.composite
