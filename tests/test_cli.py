@@ -5,6 +5,7 @@ codes and the exact bytes on stdout are covered together.  The golden
 tables and b-files live under tests/fixtures/.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -172,15 +173,20 @@ def test_enumerate_usage_errors(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-def test_enumerate_into_a_closed_pipe_exits_2_quietly():
-    # 21 318 lines, far more than a pipe holds, so the writes meet the close
+def fresh_env():
+    """The environment of a fresh interpreter that imports this boxpaths."""
     src = str(Path(boxpaths.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_enumerate_into_a_closed_pipe_exits_2_quietly():
+    # 21 318 lines, far more than a pipe holds, so the writes meet the close
     proc = subprocess.Popen(
         [sys.executable, "-m", "boxpaths", "enumerate", "--family", "box",
          "--k", "1", "--n", "8"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env(),
     )
     try:
         assert proc.stdout.readline() == b"UUUUUUUUUUUUUUUUDLDUDLDUDLDUDLDUDLDUDLDUDLDUDL\n"
@@ -443,14 +449,18 @@ def test_bfile_skew_counts(capsys):
     assert values == [1, 3, 10, 36, 137, 543, 2219, 9285]
 
 
-def test_bfile_skew_counts_follow_the_a002212_recurrence(capsys):
+@pytest.mark.parametrize("count", [0, 1, 2, 100])
+def test_bfile_skew_counts_follow_the_a002212_recurrence(capsys, count):
     # (n + 1) a(n) = 3 (2n - 1) a(n - 1) - 5 (n - 2) a(n - 2): a derivation
-    # independent of the cubic the series solver uses
-    code, out, err = run(capsys, "bfile", "--sequence", "skew-counts", "--count", "100")
+    # independent of the cubic the series solver uses; counts 0-2 are the
+    # edges of the slice of column sums, and count 0 prints nothing
+    code, out, err = run(
+        capsys, "bfile", "--sequence", "skew-counts", "--count", str(count)
+    )
     want = [1, 1]
-    for n in range(2, 101):
+    for n in range(2, count + 1):
         want.append((3 * (2 * n - 1) * want[-1] - 5 * (n - 2) * want[-2]) // (n + 1))
-    assert (code, out, err) == (0, bfile_text(want[1:]), "")
+    assert (code, out, err) == (0, bfile_text(want[1:count + 1]), "")
 
 
 def test_bfile_long_ascent_diagonal_is_catalan(capsys):
@@ -547,3 +557,42 @@ def test_argparse_requires_flags():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--n", "3"])
     assert exc.value.code == 2
+
+
+def usage_exit(capsys, *argv):
+    """The exit code and the output of a call that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    cap = capsys.readouterr()
+    return exc.value.code, cap.out, cap.err
+
+
+def test_repeated_calls_share_one_parser_and_stay_independent(capsys, monkeypatch):
+    # main builds its parser on the first call of the process and reuses
+    # it; no call may leave state behind that changes the next one
+    argv = ["count", "--k", "1", "--n", "5", "--stat", "returns"]
+    fresh = subprocess.run([sys.executable, "-m", "boxpaths", *argv],
+                           capture_output=True, text=True, env=fresh_env())
+    help_before = usage_exit(capsys, "--help")
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+
+    verify = ("verify", "--suite", "formulas", "--max-k", "1", "--max-n", "3")
+    code, text, err = run(capsys, *verify)
+    assert (code, err) == (0, "") and text.startswith("PASS ")
+    code, out, err = run(capsys, *verify, "--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["ok"] is True
+    assert run(capsys, *verify) == (0, text, "")
+
+    code, out, err = usage_exit(capsys, "count", "--n", "3")
+    assert (code, out) == (2, "") and "required: --k" in err
+    assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    assert usage_exit(capsys, "--help") == help_before
+    assert built == []
