@@ -300,11 +300,16 @@ def generate_trees(arity: int, n: int) -> Iterator[KAryTree]:
 
     The trees are built as words, smallest first.  The first next() keeps
     the words of every size below n, and those of size n stream from them.
+    Argument errors raise at the call, not at the first next().
     """
     if arity < 1:
         raise ValueError("arity must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
+    return _trees(arity, n)
+
+
+def _trees(arity: int, n: int) -> Iterator[KAryTree]:
     letters = "U" * (arity - 1) + "D"  # a node's slot letters, in order
     words = [[""]]  # words[m]: the words of the trees of m nodes
     for m in range(1, n):

@@ -38,6 +38,13 @@ def test_generate_trees_counts():
     assert sum(1 for _ in generate_trees(4, 3)) == fuss_catalan(4, 1, 3)
 
 
+@pytest.mark.parametrize("arity, n", [(0, 1), (-1, 2), (2, -1), (0, -1)])
+def test_generate_trees_rejects_its_arguments_at_the_call(arity, n):
+    # raised at the call, before any next(), as the path generators do
+    with pytest.raises(ValueError):
+        generate_trees(arity, n)
+
+
 def test_generate_trees_distinct_and_well_formed():
     for arity in (2, 3, 4):
         for n in range(4):

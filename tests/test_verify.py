@@ -9,6 +9,7 @@ counterexample.
 import re
 import shlex
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -157,17 +158,35 @@ def test_family_minimality_scans_every_skew_word(monkeypatch):
 
 def test_carriers_scan_matches_the_per_word_count():
     # the text scan against the comprehension it replaced, on carriers
-    # that open and close a chunk as well as inside one
+    # that open and close a chunk as well as inside one; the scan runs on
+    # bytes, but the carriers it returns are str words
     edges = set()
-    for k, n, m in product((1, 2), range(1, 5), range(10)):
+    for k, n, m in product((1, 2, 3), range(1, 5), range(10)):
         factor = "U" + "D" * k + "L"
         want = {w for w in paths.skew_dyck_words(m) if w.count(factor) == n}
-        assert verify._carriers(m, factor, n) == want
+        got = verify._carriers(m, factor, n)
+        assert got == want
+        assert all(type(w) is str for w in got)
         for text in paths.skew_dyck_text(m):
             lines = text.split("\n")[:-1]
             edges.update(end for end, w in (("first", lines[0]), ("last", lines[-1]))
                          if w.count(factor) == n)
     assert edges == {"first", "last"}
+
+
+def test_carriers_hold_one_chunk_at_a_time():
+    # semilength 10 is 3.4 MB of text; the scan holds one chunk of it, as
+    # str and as bytes, at a time (about 37 KB at its peak), so a scan that
+    # joined a semilength's chunks would fail here.  The first call builds
+    # the skew walk's cached table, which is not the scan's.
+    verify._carriers(10, "UDDL", 3)
+    tracemalloc.start()
+    try:
+        verify._carriers(10, "UDDL", 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_records_carry_wall_time():
