@@ -420,11 +420,11 @@ def _carriers(m: int, factor: str, n: int) -> set[str]:
     index, counted in newlines, locates its word, sliced from the str
     chunk.  One chunk is held at a time, bytes and str.
     """
-    letters = factor.encode()
-    mark, hit, width = letters[:-1] + b"X", b"\n" + b"X" * n + b"\n", 2 * m + 1
+    target = factor.encode()
+    mark, hit, width = target[:-1] + b"X", b"\n" + b"X" * n + b"\n", 2 * m + 1
     carriers = set()
     for text in paths.skew_dyck_text(m):
-        marks = b"\n" + text.encode().replace(letters, mark).translate(None, _LETTERS)
+        marks = b"\n" + text.encode().replace(target, mark).translate(None, _LETTERS)
         line = pos = 0
         while (found := marks.find(hit, pos)) >= 0:
             line += marks.count(b"\n", pos, found)
