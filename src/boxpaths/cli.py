@@ -144,8 +144,7 @@ def _box_word_chunks(k: int, n: int):
 
 def _biject_forward(path: paths.PathWord, to: str, k: int) -> str:
     if to == "trees":
-        tup = bijections.box_to_tree_tuple(path, k)
-        return ",".join(trees.format_tree(t) for t in tup.trees)
+        return str(bijections.box_to_tree_tuple(path, k))
     if to == "ktdyck":
         return bijections.box_to_kt_dyck(path, k).word
     if to == "threshold":
@@ -214,14 +213,9 @@ def _fuss_terms(r):
     return values
 
 
-def _terms(term):
-    """The values function of the sequence term(k, 1), term(k, 2), ..."""
-    return lambda k, count: [term(k, i) for i in range(1, count + 1)]
-
-
 def _diagonal(cell):
     """The values function of cell(k, 1, 1), cell(k, 2, 2), ..."""
-    return _terms(lambda k, i: cell(k, i, i))
+    return lambda k, count: [cell(k, i, i) for i in range(1, count + 1)]
 
 
 def _triangle(cell):

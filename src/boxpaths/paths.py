@@ -245,22 +245,19 @@ def _block_ascents(word: str, tail: str) -> tuple[int, ...] | int:
 def stats(path: PathWord) -> PathStats:
     """Semilength, returns, ascents and long ascents of a skew Dyck path.
 
-    A path with kept k-box ascents (k >= 1) is answered from them: block i
-    descends to height a_1 + ... + a_i - (k+2)i, a return when it is 0, and
-    the last block returns; each ascent is one block's U-run.  Any other
-    path is walked once for its returns, and the rest are counts at C
-    speed, since in a skew Dyck path every ascent ends in D (no UL, and no
-    path ends in U).
+    A path with kept k-box ascents (k >= 1) is answered from them: _returns
+    counts the returns, with k + 2 = (semilength + 1) / n, and each ascent
+    is one block's U-run.  Any other path is walked once for its returns,
+    and the rest are counts at C speed, since in a skew Dyck path every
+    ascent ends in D (no UL, and no path ends in U).
     """
     word = path.word
     parts = getattr(path, "_ascents", None)
     if parts is not None:
         semilength = len(word) // 2
         n = len(parts)
-        step = (semilength + 1) // n
-        returns = 1 + sum(map(eq, accumulate(parts),
-                              range(step, step * n, step)))
-        return _unchecked(PathStats, semilength=semilength, returns=returns,
+        return _unchecked(PathStats, semilength=semilength,
+                          returns=_returns(parts, (semilength + 1) // n),
                           ascents=n, long_ascents=n - parts.count(1),
                           _word=word)
     returns = _skew_returns(word)
@@ -426,26 +423,25 @@ def _box_word(parts, k: int) -> PathWord:
 
 
 def box_return_count(path: PathWord, k: int) -> int:
-    """Returns of a k-box path; the k = 0 virtual tail adds one return."""
-    st = _box_stats(path, k)
-    return st.returns + 1 if k == 0 else st.returns
+    """Returns of a k-box path, counted from its ascents; for k = 0 the
+    virtual tail adds one return to the Dyck path's."""
+    return _returns(box_ascents(path, k), k + 2)
 
 
 def box_long_ascent_count(path: PathWord, k: int) -> int:
-    """Long ascents of a k-box path; for k = 0 every virtual ascent is long,
-    so this is the ascent (equivalently peak) count of the Dyck word."""
-    st = _box_stats(path, k)
-    return st.ascents if k == 0 else st.long_ascents
+    """Long ascents of a k-box path, its ascents a_i >= 2; for k = 0 they
+    are the Dyck path's ascents (equivalently peaks), since its virtual
+    tuple adds 1 to every U-run and ends in 1."""
+    parts = box_ascents(path, k)
+    return len(parts) - parts.count(1)
 
 
-def _box_stats(path: PathWord, k: int) -> PathStats:
-    """stats of a k-box path, any other word or k < 0 rejected as by
-    box_ascents, which keeps the ascents that stats reads at k >= 1.  An
-    L-free word is a 0-box path iff it is a skew Dyck path, so at k = 0
-    stats alone scans it and rejects the rest."""
-    if k or "L" in path.word:
-        box_ascents(path, k)
-    return stats(path)
+def _returns(parts: tuple[int, ...], step: int) -> int:
+    """Returns of the box path with these ascents and step = k + 2: block i
+    descends to height a_1 + ... + a_i - step * i, a return when it is 0
+    for i < n, and the last block returns."""
+    n = len(parts)
+    return 1 + sum(map(eq, accumulate(parts), range(step, step * n, step)))
 
 
 def _unchecked(cls, **values):

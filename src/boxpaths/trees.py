@@ -80,9 +80,6 @@ def _shape(root: TreeNode | None) -> list[int]:
     return out
 
 
-_UNBUILT = object()  # KAryTree's root before it is built
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class KAryTree:
     """A k-ary tree: every node has exactly `arity` ordered child slots.
@@ -90,11 +87,9 @@ class KAryTree:
     The tree is stored as its preorder slot-letter word, the (arity-1)-Dyck
     word tree_to_kdyck reads (arity 1 gives one D per node), so equality,
     hashing and node_count work on a string.  `root`, the tree as nodes,
-    is built from the word on first access and then kept; it is not a
-    field.
+    is a view: each access builds new nodes from the word.
     """
 
-    __slots__ = ("_root", "__dict__")
     arity: int
     word: str
 
@@ -103,15 +98,10 @@ class KAryTree:
             raise ValueError("arity must be >= 1")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "word", _word_of_nodes(root, arity))
-        object.__setattr__(self, "_root", root)
 
     @property
     def root(self) -> TreeNode | None:
-        root = getattr(self, "_root", _UNBUILT)
-        if root is _UNBUILT:
-            root = _nodes_of_word(self.word, self.arity)
-            object.__setattr__(self, "_root", root)
-        return root
+        return _nodes_of_word(self.word, self.arity)
 
     @property
     def node_count(self) -> int:
@@ -122,11 +112,6 @@ class KAryTree:
 
     def __str__(self) -> str:
         return format_tree(self)
-
-    def __getstate__(self) -> dict:
-        # copy and pickle take the fields only; a frozen class could not
-        # set the cached root back
-        return vars(self)
 
 
 def _word_of_nodes(root: TreeNode | None, arity: int) -> str:

@@ -436,10 +436,11 @@ def _carriers(m: int, factor: str, n: int) -> set[str]:
 
 @_register("bijections", "dyck-convention", lambda ctx: f"n<={ctx.max_n}")
 def _dyck_convention(ctx: _Ctx):
-    # size-n 0-box paths are by convention the Dyck paths of semilength n-1
+    # size-n 0-box paths are by convention the Dyck paths of semilength n-1,
+    # read off the full skew walk, not the L-free one the generator takes
     for n in range(1, ctx.max_n + 1):
         got = {p.word for p in ctx.box(0, n)}
-        want = set(paths.skew_dyck_words(n - 1, allow_left=False))
+        want = {w for w in paths.skew_dyck_words(n - 1) if "L" not in w}
         yield (f"0-box paths of size {n}, their count", (got, len(got)),
                (want, counting.count_box(0, n)), _box(0, n))
 

@@ -495,7 +495,8 @@ def test_kept_ascents_do_not_depend_on_the_order_of_checks():
     # template words of size 2 whose first prefix sum is too low), and
     # the shaped paths.  All 88 573 words of at most 10 letters take
     # about four times as long.
-    checks = (box_ascents, classify, _require_box)
+    checks = (box_ascents, classify, _require_box, box_return_count,
+              box_long_ascent_count)
     words = ["".join(letters) for n in range(9)
              for letters in itertools.product("UDL", repeat=n)]
     words += ["U" + "".join(letters) + "L"
@@ -510,6 +511,56 @@ def test_kept_ascents_do_not_depend_on_the_order_of_checks():
             for check in checks:
                 if _outcome(check, path, k) != fresh[check, k]:
                     wrong.append((word[:40], k, check.__name__))
+    assert wrong == []
+
+
+def _words(length):
+    """Every word over {U, D, L} of at most `length` letters."""
+    return ["".join(letters) for n in range(length + 1)
+            for letters in itertools.product("UDL", repeat=n)]
+
+
+def _rejection(check, path, k):
+    """The type and message check(path, k) raises, or None if it answers."""
+    try:
+        check(path, k)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_box_statistics_reject_as_box_ascents():
+    # every word of at most 8 letters at k = -1..4: a statistic answers
+    # exactly where box_ascents does, and raises what it raises, at k = 0
+    # too ("not a Dyck path", not the skew scan's "not a skew Dyck path")
+    wrong = []
+    for word in _words(8):
+        for k in range(-1, 5):
+            want = _rejection(box_ascents, PathWord(word), k)
+            for stat in (box_return_count, box_long_ascent_count):
+                if _rejection(stat, PathWord(word), k) != want:
+                    wrong.append((word, k, stat.__name__))
+    assert wrong == []
+
+
+def test_box_statistics_match_the_skew_walk_on_accepted_words():
+    # the statistics count from the ascent tuple; the reference walks a
+    # fresh copy of the word, which keeps no ascents, and adds the k = 0
+    # conventions: the virtual tail's return, and every ascent long
+    accepted = [(k, PathWord(word)) for word in _words(8) for k in range(5)
+                if _rejection(box_ascents, PathWord(word), k) is None]
+    # a 4-box path has at least 10 letters
+    assert {k for k, _ in accepted} == {0, 1, 2, 3}
+    accepted += [(k, p) for k in range(5) for n in range(1, 6)
+                 for p in generate_k_box(k, n)]
+    accepted += [(k, p) for k in (1, 2) for p in _shaped_box_paths(k, 3000)]
+    wrong = []
+    for k, path in accepted:
+        st = stats(PathWord(path.word))
+        want = (st.returns + (k == 0),
+                st.ascents if k == 0 else st.long_ascents)
+        if (box_return_count(path, k), box_long_ascent_count(path, k)) != want:
+            wrong.append((path.word[:40], k))
     assert wrong == []
 
 

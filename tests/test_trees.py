@@ -490,8 +490,9 @@ def test_trees_built_from_words_match_trees_built_from_nodes():
             for tree in built:
                 assert_same_tree(tree, t)
                 assert_same_tree(tree, ref_parse_tree(text, arity))
-            # the root a tree was built from is the one it keeps
-            assert KAryTree(arity, t.root).root is t.root
+            # .root is built from the word, not kept from the given root
+            assert (KAryTree(arity, t.root).root
+                    == trees._nodes_of_word(t.word, arity))
         tup = TreeTuple(tuple(parse_tree(str(t), arity) for t in forest))
         assert tup == TreeTuple(tuple(forest))
         assert tup.total_nodes == sum(ref_node_count(t.root) for t in forest)

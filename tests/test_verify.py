@@ -131,6 +131,26 @@ def test_injected_generator_fault_reaches_family_minimality(monkeypatch):
     assert any("replay: boxpaths enumerate" in f for f in bad[0].failures)
 
 
+def test_injected_dyck_fault_reaches_dyck_convention(monkeypatch):
+    # the check's Dyck words come from the full skew walk, so a non-Dyck
+    # word swapped into the L-free stream that generates the 0-box paths
+    # of size 4 must fail it
+    real = paths.skew_dyck_text
+
+    def swapping(semilength, allow_left=True):
+        chunks = real(semilength, allow_left)
+        if allow_left or semilength != 3:
+            return chunks
+        return (text.replace("UDUDUD\n", "UDDUUD\n") for text in chunks)
+
+    monkeypatch.setattr(paths, "skew_dyck_text", swapping)
+    report = run_suite("bijections", 1, 4)
+    bad = {c.name: c for c in report.checks if not c.passed}
+    assert "dyck-convention" in bad
+    assert any("replay: boxpaths enumerate --family box --k 0 --n 4" in f
+               for f in bad["dyck-convention"].failures)
+
+
 def test_family_minimality_scans_every_skew_word(monkeypatch):
     # the brute force stays exhaustive: for each k in {1, 2} and n <= 3 it
     # reads every skew word of every semilength 1..(k+2)n - 1 (OEIS A002212),
