@@ -41,6 +41,13 @@ class BoxDecomposition:
     Each part is an augmented (k+1)-Dyck word; part sizes sum to n - 1.
     For k = 0 the single part is the Dyck word rewritten with D -> ULD, a
     word that is not itself skew (it contains UL factors).
+
+    A decomposition that decompose_box made (k >= 1) also keeps the
+    ascents of the path it accepted, in an instance entry that is not a
+    field, and compose_box trusts them instead of checking the parts
+    again.  Equality, hashing, repr, asdict and replace see k and parts
+    alone; so do copy and pickle, whose copies are checked in full, as
+    is every decomposition the constructor builds.
     """
 
     k: int
@@ -52,6 +59,10 @@ class BoxDecomposition:
         if len(self.parts) != self.k + 1:
             raise ValueError(
                 f"expected {self.k + 1} parts, got {len(self.parts)}")
+
+    def __getstate__(self) -> dict:
+        # the fields alone: a copy's parts are checked again
+        return {"k": self.k, "parts": self.parts}
 
 
 @dataclass(frozen=True)
@@ -123,7 +134,8 @@ def decompose_box(path: PathWord, k: int) -> BoxDecomposition:
     # block i of the word is U^(a_i) D^k L D
     parts = _level_parts(path.word, ascents, k, k + 2)
     return _unchecked(BoxDecomposition, k=k,
-                      parts=tuple(map(_trusted_word, parts)))
+                      parts=tuple(map(_trusted_word, parts)),
+                      _path_ascents=ascents)
 
 
 def _level_parts(word: str, ascents: tuple[int, ...], k: int,
@@ -152,7 +164,15 @@ def _level_parts(word: str, ascents: tuple[int, ...], k: int,
 
 def compose_box(dec: BoxDecomposition) -> PathWord:
     """Reassemble mu_1 U mu_2 U ... mu_(k+1) U D^k L from decomposition
-    parts; each part is checked block by block, the word with classify.
+    parts.
+
+    A decomposition from decompose_box (k >= 1) keeps the ascents of the
+    path it was cut from, so its parts are not checked again: the word is
+    their join, and those ascents are the word's.  Any other decomposition
+    is checked part by part, block shape first, and the joined word with
+    classify; a part whose block heights a_1 + ... + a_i - (k+2)i dip
+    below 0 or end above it is rejected last, so every rejection the
+    earlier checks make keeps its text.
 
     The word's ascents are the parts' blocks in turn: the U after each
     part joins the first U-run of the next part that has one, and the Us
@@ -165,21 +185,44 @@ def compose_box(dec: BoxDecomposition) -> PathWord:
         path = _trusted_word(_strip_augmented(dec.parts[0].word, 1))
         _check_box(path, 0)
         return path
-    ascents = []
-    # the Us since the last block
-    run = 0
-    for part in dec.parts:
-        blocks = _augmented_blocks(part.word, k + 1)
-        if blocks:
-            ascents.append(run + blocks[0])
-            ascents += blocks[1:]
-            run = 0
-        run += 1
-    ascents.append(run)
+    ascents = getattr(dec, "_path_ascents", None)
+    defect = None
+    if ascents is None:
+        ascents = []
+        # the Us since the last block
+        run = 0
+        for i, part in enumerate(dec.parts):
+            blocks = _augmented_blocks(part.word, k + 1)
+            if blocks:
+                ascents.append(run + blocks[0])
+                ascents += blocks[1:]
+                run = 0
+            run += 1
+            defect = defect or _height_defect(blocks, k, i)
+        ascents.append(run)
+        ascents = tuple(ascents)
     path = _trusted_word("".join(p.word + "U" for p in dec.parts) + "D" * k + "L")
-    _accept(path, k, tuple(ascents))
+    _accept(path, k, ascents)
     _check_box(path, k)
+    if defect:
+        raise InvalidPathError(defect)
     return path
+
+
+def _height_defect(blocks: tuple[int, ...], k: int, i: int) -> str | None:
+    """Why part i, with blocks U^a D^k L D of these ascents, is not an
+    augmented (k+1)-Dyck word, or None: block j ends at height
+    a_1 + ... + a_j - (k+2)j, which must stay >= 0 and end at 0."""
+    height = 0
+    for j, a in enumerate(blocks):
+        height += a - k - 2
+        if height < 0:
+            return (f"not an augmented {k + 1}-Dyck word: part {i} dips "
+                    f"below the x-axis at block {j}")
+    if height:
+        return (f"not an augmented {k + 1}-Dyck word: part {i} ends at "
+                f"height {height}, not 0")
+    return None
 
 
 def box_to_tree_tuple(path: PathWord, k: int) -> TreeTuple:

@@ -343,8 +343,10 @@ def box_ascents(path: PathWord, k: int) -> tuple[int, ...]:
 
     The k = 0 case reads a Dyck path U^b1 D ... U^bm D as the virtual box
     path obtained by rewriting D -> ULD and appending UL, found anew by
-    every call.  For k >= 1, _accept keeps the ascents on the path for
-    every later call at the same k; a rejection is raised anew each time.
+    every call: an L-free word with a skew Dyck walk is a Dyck path, and
+    classify runs only to word a rejection.  For k >= 1, _accept keeps
+    the ascents on the path for every later call at the same k; a
+    rejection is raised anew each time.
     """
     if k >= 1:
         parts = _accept(path, k)
@@ -353,12 +355,14 @@ def box_ascents(path: PathWord, k: int) -> tuple[int, ...]:
         return parts
     if k < 0:
         raise ValueError("k must be >= 0")
+    word = path.word
+    if "L" not in word and _skew_returns(word) is not None:
+        # the U-runs before each D, then the empty run after the last
+        return tuple(len(run) + 1 for run in word.split("D"))
+    # a rejection only: classify words it
     cls = classify(path, 0)
-    if cls.box_size is None:
-        raise InvalidPathError(
-            f"not a Dyck path: {cls.reason or 'contains L steps'}")
-    # the U-runs before each D, then the empty run after the last
-    return tuple(len(run) + 1 for run in path.word.split("D"))
+    raise InvalidPathError(
+        f"not a Dyck path: {cls.reason or 'contains L steps'}")
 
 
 def _accept(path: PathWord, k: int, parts: tuple[int, ...] | None = None
@@ -448,7 +452,9 @@ def _unchecked(cls, **values):
     """An instance of the frozen dataclass cls with these field values,
     built without its constructor's checks.  Pass every field that has no
     class default; one that has keeps it, as with the constructor
-    (trees.KDyckPath's t = 0).
+    (trees.KDyckPath's t = 0).  A name that is no field becomes an
+    instance entry that equality, hashing and repr do not see, as
+    bijections.decompose_box keeps the ascents of the path it cut.
 
     Only for values the package derives from an input it has checked
     already, such as a map's image of a checked path or tree; every other

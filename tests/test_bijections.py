@@ -1,6 +1,9 @@
 """The four partner bijections, the return injection and the embedding."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -43,7 +46,7 @@ from boxpaths import TreeTuple, generate_trees, kdyck_to_tree, tree_to_kdyck
 from boxpaths import bijections
 from boxpaths.bijections import _check_box
 from boxpaths.paths import _box_template, _check_ascents, _skew_returns
-from boxpaths.trees import _augment, _strip_augmented
+from boxpaths.trees import _augment, _augmented_blocks, _strip_augmented
 
 EXAMPLE = parse_path("UUUDLDUUUDLDUUDL")
 KT_EXAMPLE_BOX = parse_path("UUUUUDDLDUUUDDLDUUUDDL")
@@ -245,6 +248,77 @@ def test_compose_box_rejects_foreign_parts():
         compose_box(BoxDecomposition(0, (PathWord("UL"),)))
 
 
+def test_compose_box_rejects_parts_that_are_not_augmented_dyck_words():
+    # each part is block-shaped and the joined word meets the box bounds,
+    # but a part's block heights dip below 0 or end above it; the first
+    # would compose to UUUDLDUUUUDLDUDL, which decomposes to UUUDLD,UUUDLD
+    cases = [
+        (1, ("", "UUDLDUUUUDLD"),
+         "not an augmented 2-Dyck word: part 1 dips below the x-axis at block 0"),
+        (2, ("", "", "UUUDDLDUUUUUDDLD"),
+         "not an augmented 3-Dyck word: part 2 dips below the x-axis at block 0"),
+        (1, ("UUUUDLD", "UUDLD"),
+         "not an augmented 2-Dyck word: part 0 ends at height 1, not 0"),
+    ]
+    for k, parts, message in cases:
+        dec = BoxDecomposition(k, tuple(map(PathWord, parts)))
+        with pytest.raises(InvalidPathError) as exc:
+            compose_box(dec)
+        assert str(exc.value) == message
+
+
+def _block_shaped_parts(k):
+    """Each word U^a1 D^k L D ... U^am D^k L D with m <= 3 and every
+    a_i <= 4, with its ascent sum less k + 2 per block."""
+    tail = "D" * k + "LD"
+    return [(PathWord("".join("U" * a + tail for a in blocks)),
+             sum(blocks) - (k + 2) * m)
+            for m in range(4)
+            for blocks in itertools.product(range(1, 5), repeat=m)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_compose_box_accepts_only_the_decompositions_of_box_paths(k):
+    # every tuple of block-shaped parts is rejected or is the
+    # decomposition of the path it composes to.  A tuple whose excesses
+    # do not sum to 0 joins to a word of no k-box path's length; of the
+    # 614 061 such tuples at k = 2, every 61st is composed, to keep the
+    # test short, and every other tuple at both k
+    accepted = 0
+    for i, tup in enumerate(itertools.product(_block_shaped_parts(k),
+                                              repeat=k + 1)):
+        parts, excesses = zip(*tup)
+        if k == 2 and sum(excesses) and i % 61:
+            continue
+        dec = BoxDecomposition(k, parts)
+        try:
+            path = compose_box(dec)
+        except InvalidPathError:
+            continue
+        accepted += 1
+        assert decompose_box(path, k) == dec, (parts, path.word)
+    assert accepted == {1: 81, 2: 64}[k]
+
+
+def test_a_kept_decomposition_copies_as_a_constructor_built_one():
+    # the ascents decompose_box keeps are an instance entry no field
+    # names: only vars() shows them, and copies are built without them
+    for k, parts in ((1, (3, 3, 2)), (2, (5, 3, 4, 3))):
+        path = path_of_composition(Composition(k, parts))
+        dec = decompose_box(path, k)
+        built = BoxDecomposition(k, dec.parts)
+        assert vars(dec) == {**vars(built), "_path_ascents": parts}
+        assert dec == built and hash(dec) == hash(built)
+        assert repr(dec) == repr(built)
+        assert dataclasses.asdict(dec) == dataclasses.asdict(built)
+        assert pickle.dumps(dec) == pickle.dumps(built)
+        for copied in (copy.copy(dec), copy.deepcopy(dec),
+                       pickle.loads(pickle.dumps(dec)),
+                       dataclasses.replace(dec)):
+            assert vars(copied) == vars(built)
+            assert copied == dec and compose_box(copied) == path
+
+
 def test_maps_reject_non_box_input():
     not_box = parse_path("UUDD")
     for fn in (decompose_box, box_to_tree_tuple, box_to_kt_dyck, box_to_threshold):
@@ -377,9 +451,10 @@ def test_a_path_is_scanned_once_by_every_check_and_forward_map(monkeypatch):
     # the ascents one check accepts are kept on the path, so classify,
     # box_ascents, stats and the four forward maps scan it once between
     # them, and stats does not walk it; compose_box builds the joined
-    # word's ascents from its parts
+    # word's ascents from its parts, or keeps those decompose_box read
     scanned = []
     walked = []
+    part_scans = []
 
     def counted(word, k):
         scanned.append(word)
@@ -389,8 +464,13 @@ def test_a_path_is_scanned_once_by_every_check_and_forward_map(monkeypatch):
         walked.append(word)
         return _skew_returns(word)
 
+    def part_scan(word, k):
+        part_scans.append(word)
+        return _augmented_blocks(word, k)
+
     monkeypatch.setattr("boxpaths.paths._box_template", counted)
     monkeypatch.setattr("boxpaths.paths._skew_returns", walk)
+    monkeypatch.setattr("boxpaths.bijections._augmented_blocks", part_scan)
     for k, parts in ((1, (3, 3, 2)), (2, (5, 3, 4, 3))):
         word = path_of_composition(Composition(k, parts)).word
         path = PathWord(word)
@@ -402,7 +482,15 @@ def test_a_path_is_scanned_once_by_every_check_and_forward_map(monkeypatch):
         box_to_threshold(path, k)
         dec = decompose_box(path, k)
         assert scanned == [word]
+        # the parts decompose_box cut are not scanned again
         assert compose_box(dec) == path
+        assert scanned == [word]
+        assert part_scans == []
+        # a decomposition it did not make is scanned part by part
+        for other in (BoxDecomposition(k, dec.parts), dataclasses.replace(dec)):
+            assert compose_box(other) == path
+            assert part_scans == [p.word for p in dec.parts]
+            part_scans.clear()
         assert scanned == [word]
         assert walked == []
         scanned.clear()

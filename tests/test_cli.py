@@ -242,6 +242,19 @@ def test_biject_decomposition_round_trip(capsys):
     assert (code, out) == (0, EXAMPLE + "\n")
 
 
+def test_biject_decomposition_inverse_rejects_a_part_below_the_axis(capsys):
+    # the parts are block-shaped and their join meets the box bounds, but
+    # the second part dips below the x-axis: UUUDLDUUUUDLDUDL, the word
+    # their join gives, decomposes to UUUDLD,UUUDLD
+    code, out, err = run(
+        capsys,
+        "biject", "--k", "1", "--to", "decomposition", "--inverse", ",UUDLDUUUUDLD",
+    )
+    assert (code, out) == (2, "")
+    assert err == ("error: not an augmented 2-Dyck word: part 1 dips below "
+                   "the x-axis at block 0\n")
+
+
 def test_biject_size_one_images_are_empty(capsys):
     for to, image in [("ktdyck", ""), ("threshold", ""),
                       ("decomposition", ","), ("trees", "-,-")]:

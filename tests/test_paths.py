@@ -39,7 +39,7 @@ from boxpaths import (
     skew_dyck_words,
     stats,
 )
-from boxpaths.bijections import _require_box, box_to_dyck_prefix
+from boxpaths.bijections import _require_box, box_to_dyck_prefix, decompose_box
 from boxpaths.paths import (
     _TAIL_BUDGET,
     PathStats,
@@ -529,6 +529,27 @@ def _rejection(check, path, k):
     return None
 
 
+def test_box_ascents_at_k0_classifies_only_the_words_it_rejects(monkeypatch):
+    # an L-free word with a skew walk is a Dyck path and is split at
+    # once; classify runs only to word a rejection
+    calls = []
+
+    def counted(path, k=None):
+        calls.append(path.word)
+        return classify(path, k)
+
+    monkeypatch.setattr("boxpaths.paths.classify", counted)
+    words = [w for m in range(6) for w in skew_dyck_words(m)] + ["D", "UUD", "DU"]
+    rejected = []
+    for w in words:
+        try:
+            box_ascents(PathWord(w), 0)
+        except InvalidPathError:
+            rejected.append(w)
+    assert rejected == [w for w in words if "L" in w] + ["D", "UUD", "DU"]
+    assert calls == rejected
+
+
 def test_box_statistics_reject_as_box_ascents():
     # every word of at most 8 letters at k = -1..4: a statistic answers
     # exactly where box_ascents does, and raises what it raises, at k = 0
@@ -613,20 +634,23 @@ def test_a_path_with_kept_ascents_is_still_its_word():
 _SLOT = {"_ascents", "_set_ascents"}
 
 
-def _slot_uses(tree):
-    """How tree names the kept-ascents slot: as an attribute (the slot's
-    descriptor, which writes it), as a name or an import, or as a string
-    (as getattr and __slots__ take it)."""
+def _slot_uses(tree, names=_SLOT):
+    """How tree names the kept-ascents slot, or another of names: as an
+    attribute (the slot's descriptor, which writes it), as a name or an
+    import, as a string (as getattr and __slots__ take it), or as a
+    keyword (as _unchecked takes an instance entry)."""
     uses = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in _SLOT:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             uses.add("attribute")
-        elif isinstance(node, ast.Name) and node.id in _SLOT:
+        elif isinstance(node, ast.Name) and node.id in names:
             uses.add("name")
-        elif isinstance(node, ast.alias) and _SLOT & {node.name, node.asname}:
+        elif isinstance(node, ast.alias) and names & {node.name, node.asname}:
             uses.add("name")
-        elif isinstance(node, ast.Constant) and node.value in _SLOT:
+        elif isinstance(node, ast.Constant) and node.value in names:
             uses.add("string")
+        elif isinstance(node, ast.keyword) and node.arg in names:
+            uses.add("keyword")
     return uses
 
 
@@ -645,6 +669,29 @@ def test_only_the_gate_writes_the_kept_ascents():
                  if isinstance(node, ast.FunctionDef) and _slot_uses(node)}
     assert functions == {"_accept": {"attribute", "string"},
                          "stats": {"string"}}
+
+
+# the entry in which decompose_box keeps the ascents of the path it cut
+_KEPT_PARTS = {"_path_ascents"}
+
+
+def test_only_decompose_box_writes_the_kept_decomposition_entry():
+    # compose_box trusts the ascents a decomposition keeps, so only
+    # decompose_box, which cut the parts from the path it accepted, may
+    # set them, and compose_box is their one reader
+    source = Path(__file__).resolve().parent.parent / "src" / "boxpaths"
+    modules = {f.name: ast.parse(f.read_text())
+               for f in sorted(source.glob("*.py"))}
+    assert [name for name, tree in modules.items()
+            if _slot_uses(tree, _KEPT_PARTS)] == ["bijections.py"]
+    functions = {node.name: _slot_uses(node, _KEPT_PARTS)
+                 for node in ast.walk(modules["bijections.py"])
+                 if isinstance(node, ast.FunctionDef)
+                 and _slot_uses(node, _KEPT_PARTS)}
+    assert functions == {"decompose_box": {"keyword"},
+                         "compose_box": {"string"}}
+    dec = decompose_box(PathWord("UUUDLDUUUDLDUUDL"), 1)
+    assert set(vars(dec)) == {"k", "parts"} | _KEPT_PARTS
 
 
 def test_generate_skew_dyck_counts():

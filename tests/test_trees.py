@@ -404,8 +404,12 @@ def ref_write(root, empty, opening, sep, closing, closing_one):
     return "".join(out)
 
 
+def ref_format_nodes(root):
+    return ref_write(root, "-", "(", " ", ")", ")")
+
+
 def ref_format_tree(tree):
-    return ref_write(tree.root, "-", "(", " ", ")", ")")
+    return ref_format_nodes(tree.root)
 
 
 def ref_parse_tree(text, arity):
@@ -467,11 +471,14 @@ def assert_same_tree(built, want):
     assert type(built) is type(want) is KAryTree
     assert built == want and hash(built) == hash(want)
     assert vars(built) == vars(want) == {"arity": want.arity, "word": want.word}
+    # each .root read builds the nodes anew, so each is read once here;
+    # repr(built) builds built's once more
+    built_root, want_root = built.root, want.root
     text = str(built)
-    assert text == str(want) == ref_format_tree(want)
-    assert repr(built) == repr(want)
-    assert built.node_count == want.node_count == ref_node_count(want.root)
-    assert built.root == want.root
+    assert text == str(want) == ref_format_nodes(want_root)
+    assert repr(built) == f"KAryTree(arity={want.arity}, root={want_root!r})"
+    assert built.node_count == want.node_count == ref_node_count(want_root)
+    assert built_root == want_root
     return text
 
 
