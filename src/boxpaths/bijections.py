@@ -39,6 +39,7 @@ class BoxDecomposition:
     """Parts (mu_1, ..., mu_(k+1)) with p = mu_1 U mu_2 U ... mu_(k+1) U D^k L.
 
     Each part is an augmented (k+1)-Dyck word; part sizes sum to n - 1.
+    The constructor raises TypeError for a part that is not a PathWord.
     For k = 0 the single part is the Dyck word rewritten with D -> ULD, a
     word that is not itself skew (it contains UL factors).
 
@@ -59,6 +60,10 @@ class BoxDecomposition:
         if len(self.parts) != self.k + 1:
             raise ValueError(
                 f"expected {self.k + 1} parts, got {len(self.parts)}")
+        for i, part in enumerate(self.parts):
+            if not isinstance(part, PathWord):
+                raise TypeError(
+                    f"part {i} is a {type(part).__name__}, not a PathWord")
 
     def __getstate__(self) -> dict:
         # the fields alone: a copy's parts are checked again

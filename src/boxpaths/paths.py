@@ -694,21 +694,18 @@ def _check_box_args(k: int, n: int) -> None:
 class _BoxMoves(dict):
     """The box family's moves at size n.  A state is (ascents left, slack),
     where the ascents placed sum to slack more than their bound (k+2)i, and
-    a move places the next ascent a as text: its template block, U^a D^k L D
-    or U^a D^k L for the last, or for compositions "a," or "a" for the
-    last."""
+    a move places the next ascent a as text: its template block, U^a D^k L D,
+    or for compositions "a,"; the last ascent's text drops the block's last
+    character, giving U^a D^k L or "a"."""
 
     def __init__(self, k: int, n: int, compositions: bool):
         super().__init__()
         self.k = k
-        # an ascent is at most (k + 1) n, the last one at most k + 1
+        # an ascent is at most (k + 1) n
         if compositions:
-            self.finals = list(map(str, range(k + 2)))
             self.blocks = [f"{a}," for a in range((k + 1) * n + 1)]
         else:
-            last = "D" * k + "L"
-            self.finals = ["U" * a + last for a in range(k + 2)]
-            self.blocks = ["U" * a + last + "D"
+            self.blocks = ["U" * a + "D" * k + "LD"
                            for a in range((k + 1) * n + 1)]
 
     def levels(self, r: int) -> list:
@@ -729,7 +726,8 @@ class _BoxMoves(dict):
         step = self.k + 2
         rest = step * r - 1 - slack
         if r == 1:
-            after = [(self.finals[rest], (0, -1))]
+            # the last ascent is at most k + 1 <= (k + 1) n, so it has a block
+            after = [(self.blocks[rest][:-1], (0, -1))]
         else:
             blocks = self.blocks
             after = [(blocks[a], (r - 1, slack + a - step))

@@ -23,81 +23,42 @@ from typing import Iterator
 from .paths import InvalidPathError, PathWord, _block_ascents, _unchecked
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class TreeNode:
     """A node and its ordered child slots; None marks an empty slot.
 
-    Equality is structural and equal trees hash equal.  Both, and the
-    repr, walk the subtree on an explicit stack, so any depth works.
+    A bare view that KAryTree.root builds: nodes compare by identity and
+    have the default object repr.
     """
 
     children: tuple["TreeNode | None", ...]
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _shape(self) == _shape(other)
 
-    def __hash__(self) -> int:
-        return hash(tuple(_shape(self)))
-
-    def __repr__(self) -> str:
-        # the dataclass text, in which a single child is a 1-tuple (c,)
-        out: list[str] = []
-        # slots still to write and the text between them, last one on top
-        stack: list[TreeNode | str | None] = [self]
-        while stack:
-            item = stack.pop()
-            if item is None:
-                out.append("None")
-            elif item.__class__ is str:
-                out.append(item)
-            else:
-                out.append("TreeNode(children=(")
-                children = item.children
-                stack.append(",))" if len(children) == 1 else "))")
-                for i in range(len(children) - 1, 0, -1):
-                    stack.append(children[i])
-                    stack.append(", ")
-                if children:
-                    stack.append(children[0])
-        return "".join(out)
-
-
-def _shape(root: TreeNode | None) -> list[int]:
-    """The slot counts of the tree under root in preorder, -1 for an empty
-    slot.  They are a prefix code: equal trees, and only they, give equal
-    lists."""
-    out: list[int] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            out.append(-1)
-        else:
-            out.append(len(node.children))
-            stack += reversed(node.children)
-    return out
-
-
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True)
 class KAryTree:
     """A k-ary tree: every node has exactly `arity` ordered child slots.
 
-    The tree is stored as its preorder slot-letter word, the (arity-1)-Dyck
-    word tree_to_kdyck reads (arity 1 gives one D per node), so equality,
-    hashing and node_count work on a string.  `root`, the tree as nodes,
-    is a view: each access builds new nodes from the word.
+    The tree is its preorder slot-letter word, the (arity-1)-Dyck word
+    tree_to_kdyck reads (arity 1 gives one D per node): a node reads
+    U c_0 U c_1 ... U c_(arity-2) D c_(arity-1).  KAryTree(arity, word)
+    checks the word, so equality, hashing, repr and node_count work on a
+    checked string.  `root`, the tree as nodes, is a view: each access
+    builds new nodes from the word.
     """
 
     arity: int
     word: str
 
-    def __init__(self, arity: int, root: TreeNode | None) -> None:
-        if arity < 1:
+    def __post_init__(self) -> None:
+        if self.arity < 1:
             raise ValueError("arity must be >= 1")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "word", _word_of_nodes(root, arity))
+        if self.arity >= 2:
+            KDyckPath(self.arity - 1, self.word)
+            return
+        for i, ch in enumerate(self.word):
+            if ch != "D":
+                raise InvalidPathError(
+                    f"unexpected character {ch!r} at index {i}")
 
     @property
     def root(self) -> TreeNode | None:
@@ -107,35 +68,12 @@ class KAryTree:
     def node_count(self) -> int:
         return self.word.count("D")
 
-    def __repr__(self) -> str:
-        return f"KAryTree(arity={self.arity}, root={self.root!r})"
-
     def __str__(self) -> str:
         return format_tree(self)
 
 
-def _word_of_nodes(root: TreeNode | None, arity: int) -> str:
-    """The slot letters of the tree under root in preorder: a node reads
-    U c_0 U c_1 ... U c_(arity-2) D c_(arity-1).  Raises ValueError on the
-    first node in preorder whose slot count is not `arity`."""
-    letters = "D" + "U" * (arity - 1)  # the slots' letters, last slot first
-    out: list[str] = []
-    # (letter, content) of the slots still to write, the next one on top
-    stack: list[tuple[str, TreeNode | None]] = [("", root)]
-    while stack:
-        letter, node = stack.pop()
-        out.append(letter)
-        if node is not None:
-            children = node.children
-            if len(children) != arity:
-                raise ValueError(
-                    f"node has {len(children)} child slots, expected {arity}")
-            stack.extend(zip(letters, reversed(children)))
-    return "".join(out)
-
-
 def _nodes_of_word(word: str, arity: int) -> TreeNode | None:
-    """The tree whose slot-letter word (as _word_of_nodes writes it) is word.
+    """The nodes of the arity-`arity` tree whose slot-letter word is word.
 
     Read backwards, a node is c_k D c_(k-1) U ... c_0 U (k = arity-1), so
     one sweep from the right builds every node bottom-up: a D opens a node

@@ -75,6 +75,16 @@ def test_decomposition_part_count_is_checked():
         BoxDecomposition(1, (PathWord(""),))
 
 
+def test_decomposition_parts_must_be_path_words():
+    with pytest.raises(TypeError, match=r"^part 0 is a str, not a PathWord$"):
+        compose_box(BoxDecomposition(1, ("", "")))
+    dec = decompose_box(EXAMPLE, 1)
+    with pytest.raises(TypeError, match=r"^part 1 is a str, not a PathWord$"):
+        dataclasses.replace(dec, parts=(dec.parts[0], dec.parts[1].word))
+    with pytest.raises(TypeError, match=r"^part 0 is a NoneType, not a PathWord$"):
+        BoxDecomposition(0, (None,))
+
+
 def test_kt_dyck_worked_example():
     q = box_to_kt_dyck(EXAMPLE, 1)
     assert q.word == "UDUUDU"
@@ -504,9 +514,9 @@ def test_a_path_is_scanned_once_by_every_check_and_forward_map(monkeypatch):
 def ref_box_to_tree_tuple(path, k):
     dec = decompose_box(path, k)
     return TreeTuple(tuple(
-        # KAryTree checks the arity of the tree kdyck_to_tree builds
+        # KAryTree checks the word of the tree kdyck_to_tree builds
         KAryTree(k + 2, kdyck_to_tree(
-            KDyckPath(k + 1, _strip_augmented(p.word, k + 1))).root)
+            KDyckPath(k + 1, _strip_augmented(p.word, k + 1))).word)
         for p in dec.parts))
 
 
@@ -611,7 +621,7 @@ def test_maps_match_their_checked_references():
             assert_same_value(s, ref_box_to_threshold(p, k))
             assert threshold_to_box(s) == ref_threshold_to_box(s) == p
             for tree in tup.trees:
-                assert_same_value(tree, KAryTree(tree.arity, tree.root))
+                assert_same_value(tree, KAryTree(tree.arity, tree.word))
             try:
                 image = return_injection(p, k)
             except InvalidPathError:

@@ -1,6 +1,7 @@
 """k-ary trees, their big-step path encodings, and the augmented form."""
 
 import copy
+import itertools
 import pickle
 import random
 import sys
@@ -56,18 +57,56 @@ def test_generate_trees_distinct_and_well_formed():
 
 
 def test_tree_arity_is_checked():
+    # the word of a binary tree is no ternary tree's
+    with pytest.raises(ValueError, match="2-Dyck path dips below"):
+        KAryTree(3, "UD")
+    with pytest.raises(ValueError, match="1-Dyck path ends at height 1"):
+        KAryTree(2, "UUD")
+    # nor is the word of a deep binary chain
+    with pytest.raises(ValueError, match="2-Dyck path dips below"):
+        KAryTree(3, "U" * 5000 + "D" * 5000)
+    # the node form checks every node's slot count, a deep one too
     lopsided = TreeNode((None, None))
-    with pytest.raises(ValueError):
-        KAryTree(3, lopsided)
-    # a wrong node deep down is found too
+    with pytest.raises(ValueError, match="2 child slots, expected 3"):
+        ref_tree(3, lopsided)
     node = TreeNode((None,))
     for _ in range(5000):
         node = TreeNode((node, None))
     with pytest.raises(ValueError, match="1 child slots, expected 2"):
-        KAryTree(2, node)
+        ref_tree(2, node)
     # of several wrong nodes, the first in preorder is named
     with pytest.raises(ValueError, match="2 child slots, expected 3"):
         parse_tree("((- -) (- - - -) -)", 3)
+
+
+def test_the_constructor_accepts_exactly_the_words_of_trees():
+    words = [""] + ["".join(w) for m in range(1, 10)
+                    for w in itertools.product("UD", repeat=m)]
+    others = ["L", "UDL", "ULD", "UUDLD", "DL", "UDX", "ud", "D D", "UUD\n"]
+    for arity in (1, 2, 3, 4):
+        generated = {t.word: t for n in range(9 // arity + 1)
+                     for t in generate_trees(arity, n)}
+        accepted = set()
+        for w in words + others:
+            try:
+                tree = KAryTree(arity, w)
+            except ValueError:
+                continue
+            accepted.add(w)
+            want = generated[w]
+            assert tree == want and hash(tree) == hash(want)
+            assert vars(tree) == vars(want)
+            assert ref_word_of_nodes(tree.root, arity) == w
+        assert accepted == set(generated), arity
+    for arity in (0, -1):
+        with pytest.raises(ValueError, match="^arity must be >= 1$"):
+            KAryTree(arity, "")
+    with pytest.raises(InvalidPathError,
+                       match=r"^unexpected character 'U' at index 1$"):
+        KAryTree(1, "DUD")
+    with pytest.raises(InvalidPathError,
+                       match=r"^unexpected character 'L' at index 3$"):
+        KAryTree(3, "UUDL")
 
 
 def test_format_and_parse_roundtrip():
@@ -75,8 +114,9 @@ def test_format_and_parse_roundtrip():
         for n in range(5):
             for t in generate_trees(arity, n):
                 assert parse_tree(format_tree(t), arity) == t
-    assert format_tree(KAryTree(3, None)) == "-"
-    assert format_tree(KAryTree(3, TreeNode((None, None, None)))) == "(- - -)"
+    assert format_tree(KAryTree(3, "")) == "-"
+    assert format_tree(KAryTree(3, "UUD")) == "(- - -)"
+    assert format_tree(ref_tree(3, TreeNode((None, None, None)))) == "(- - -)"
 
 
 def test_parse_tree_errors():
@@ -145,7 +185,7 @@ def test_maps_build_values_equal_to_checked_ones():
                 checked = KDyckPath(arity - 1, p.word)
                 back = kdyck_to_tree(checked)
                 for built, want in ((p, checked), (back, t),
-                                    (back, KAryTree(arity, back.root))):
+                                    (back, KAryTree(arity, back.word))):
                     assert type(built) is type(want)
                     assert built == want and hash(built) == hash(want)
                     assert vars(built) == vars(want)
@@ -197,6 +237,60 @@ def test_strip_rejects_foreign_words():
         augmented_to_kdyck(parse_path("UUDLD"), 2)
 
 
+# The node form of a tree, from before KAryTree took its word: the
+# constructor's word of a root's nodes, their structural equality, and
+# their repr.  Each walks an explicit stack, so any depth works.
+
+
+def ref_word_of_nodes(root, arity):
+    """The slot letters of the tree under root in preorder: a node reads
+    U c_0 U c_1 ... U c_(arity-2) D c_(arity-1).  Raises ValueError on the
+    first node in preorder whose slot count is not `arity`."""
+    letters = "D" + "U" * (arity - 1)  # the slots' letters, last slot first
+    out = []
+    # (letter, content) of the slots still to write, the next one on top
+    stack = [("", root)]
+    while stack:
+        letter, node = stack.pop()
+        out.append(letter)
+        if node is not None:
+            children = node.children
+            if len(children) != arity:
+                raise ValueError(
+                    f"node has {len(children)} child slots, expected {arity}")
+            stack.extend(zip(letters, reversed(children)))
+    return "".join(out)
+
+
+def ref_tree(arity, root):
+    """The tree the node-taking constructor KAryTree(arity, root) built."""
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    return KAryTree(arity, ref_word_of_nodes(root, arity))
+
+
+def ref_shape(root):
+    """The slot counts of the tree under root in preorder, -1 for an empty
+    slot.  They are a prefix code: equal trees, and only they, give equal
+    lists."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            out.append(-1)
+        else:
+            out.append(len(node.children))
+            stack += reversed(node.children)
+    return out
+
+
+def ref_node_repr(root):
+    """The dataclass text of the nodes under root, in which a single child
+    is a 1-tuple (c,)."""
+    return ref_write(root, "None", "TreeNode(children=(", ", ", "))", ",))")
+
+
 # The recursive node generator generate_trees used before it built its
 # trees as words, kept as the reference for their order.
 
@@ -230,12 +324,14 @@ def test_generate_trees_matches_the_node_generator_in_order():
     for arity in range(1, 6):
         for n in range(8 if arity <= 3 else 6):
             forest = list(generate_trees(arity, n))
-            want = [KAryTree(arity, root).word for root in ref_gen_nodes(arity, n)]
+            want = [ref_word_of_nodes(root, arity)
+                    for root in ref_gen_nodes(arity, n)]
             assert [t.word for t in forest] == want, (arity, n)
             for t in forest:
                 if arity >= 2:
                     assert KDyckPath(arity - 1, t.word).word == t.word
-                assert KAryTree(arity, t.root) == t
+                assert KAryTree(arity, t.word) == t
+                assert ref_word_of_nodes(t.root, arity) == t.word
     # one tree per size at arity 1, deeper than the reference can recurse
     n = 3 * sys.getrecursionlimit()
     assert [t.word for t in generate_trees(1, n)] == ["D" * n]
@@ -289,11 +385,12 @@ def test_stack_maps_match_recursive_reference():
                 assert format_tree(t) == ref_format(t.root)
                 word = ref_walk(t.root, k)
                 assert tree_to_kdyck(t).word == word
-                assert kdyck_to_tree(KDyckPath(k, word)).root == ref_parse(word, k)
+                root = kdyck_to_tree(KDyckPath(k, word)).root
+                assert ref_shape(root) == ref_shape(ref_parse(word, k))
 
 
-# TreeNode as the dataclass decorator wrote its repr, before that repr
-# walked an explicit stack
+# TreeNode as the dataclass decorator wrote its repr, the text the
+# reference node repr gives
 DataclassTreeNode = make_dataclass("TreeNode", [("children", tuple)], frozen=True)
 
 
@@ -307,10 +404,17 @@ def test_repr_matches_the_dataclass_repr():
     for arity in (1, 2, 3, 4):
         for n in range(7):
             for t in generate_trees(arity, n):
-                want = repr(dataclass_copy(t.root))
-                assert repr(t.root) == want
-                assert repr(t) == f"KAryTree(arity={arity}, root={want})"
-    assert repr(TreeNode(())) == "TreeNode(children=())"
+                root = t.root
+                assert ref_node_repr(root) == repr(dataclass_copy(root))
+                assert repr(t) == f"KAryTree(arity={arity}, word={t.word!r})"
+                if root is not None:
+                    assert repr(root) == object.__repr__(root)
+    assert ref_node_repr(TreeNode(())) == "TreeNode(children=())"
+    # a bare node compares by identity, and its repr is the object's
+    node = TreeNode(())
+    assert repr(node) == object.__repr__(node)
+    assert node == node and node != TreeNode(())
+    assert hash(node) == object.__hash__(node)
 
 
 def chain(depth, slot=0):
@@ -326,20 +430,25 @@ def test_deep_trees_compare_and_hash_without_recursion():
     assert depth > sys.getrecursionlimit()
     tree, tree2 = chain(depth), chain(depth)
     assert tree is not tree2
-    assert tree == tree2 and hash(tree) == hash(tree2)
+    assert ref_shape(tree) == ref_shape(tree2)
+    t, t2 = ref_tree(2, tree), ref_tree(2, tree2)
+    assert t == t2 and hash(t) == hash(t2)
     # one node less is a different tree
-    assert tree != tree2.children[0]
+    assert ref_shape(tree) != ref_shape(tree2.children[0])
+    assert t != ref_tree(2, tree2.children[0])
 
 
 def test_deep_tree_tuples_compare_and_hash():
     left, right = chain(5000), chain(5000, slot=1)
     left2, right2 = chain(5000), chain(5000, slot=1)
-    assert right == right2 and hash(right) == hash(right2)
-    assert left != right
+    assert ref_shape(right) == ref_shape(right2)
+    assert ref_shape(left) != ref_shape(right)
     # one leaf moved is a different tree
-    assert TreeNode((left2.children[0], TreeNode((None, None)))) != left
-    tup = TreeTuple((KAryTree(2, left), KAryTree(2, right)))
-    tup2 = TreeTuple((KAryTree(2, left2), KAryTree(2, right2)))
+    moved = TreeNode((left2.children[0], TreeNode((None, None))))
+    assert ref_shape(moved) != ref_shape(left)
+    assert ref_tree(2, moved) != ref_tree(2, left)
+    tup = TreeTuple((ref_tree(2, left), ref_tree(2, right)))
+    tup2 = TreeTuple((ref_tree(2, left2), ref_tree(2, right2)))
     assert tup == tup2 and hash(tup) == hash(tup2)
     assert tup.total_nodes == 10000
 
@@ -358,15 +467,15 @@ def test_equal_trees_hash_equal():
 def test_deep_trees_repr_without_recursion():
     tree = chain(5000)
     want = "TreeNode(children=(" * 5000 + "None, None))" + ", None))" * 4999
-    assert repr(tree) == want
-    tree_text = f"KAryTree(arity=2, root={want})"
-    assert repr(KAryTree(2, tree)) == tree_text
-    assert repr(TreeTuple((KAryTree(2, tree),))) == f"TreeTuple(trees=({tree_text},))"
+    assert ref_node_repr(tree) == want
+    tree_text = f"KAryTree(arity=2, word='{'U' * 5000 + 'D' * 5000}')"
+    assert repr(ref_tree(2, tree)) == tree_text
+    assert repr(TreeTuple((ref_tree(2, tree),))) == f"TreeTuple(trees=({tree_text},))"
 
 
 def test_deep_trees_round_trip_through_text_and_paths():
     for tree in (chain(5000), chain(5000, slot=1)):
-        t = KAryTree(2, tree)
+        t = ref_tree(2, tree)
         text = format_tree(t)
         assert parse_tree(text, 2) == t
         assert kdyck_to_tree(tree_to_kdyck(t)) == t
@@ -433,7 +542,7 @@ def ref_parse_tree(text, arity):
                          else "unexpected end of tree text")
     if pos + 1 != len(tokens):
         raise ValueError(f"trailing tokens in tree text: {tokens[pos + 1:]}")
-    return KAryTree(arity, node)
+    return ref_tree(arity, node)
 
 
 def ref_kdyck_nodes(word, k):
@@ -471,14 +580,15 @@ def assert_same_tree(built, want):
     assert type(built) is type(want) is KAryTree
     assert built == want and hash(built) == hash(want)
     assert vars(built) == vars(want) == {"arity": want.arity, "word": want.word}
-    # each .root read builds the nodes anew, so each is read once here;
-    # repr(built) builds built's once more
+    # each .root read builds the nodes anew, so each is read once here
     built_root, want_root = built.root, want.root
     text = str(built)
     assert text == str(want) == ref_format_nodes(want_root)
-    assert repr(built) == f"KAryTree(arity={want.arity}, root={want_root!r})"
+    assert repr(built) == repr(want) == (
+        f"KAryTree(arity={want.arity}, word={want.word!r})")
     assert built.node_count == want.node_count == ref_node_count(want_root)
-    assert built_root == want_root
+    assert ref_shape(built_root) == ref_shape(want_root)
+    assert ref_word_of_nodes(built_root, want.arity) == want.word
     return text
 
 
@@ -493,13 +603,14 @@ def test_trees_built_from_words_match_trees_built_from_nodes():
                 p = KDyckPath(arity - 1, t.word)
                 built.append(kdyck_to_tree(p))
                 assert tree_to_kdyck(built[-1]) == p
-                assert built[-1].root == ref_kdyck_nodes(t.word, arity - 1)
+                assert (ref_shape(built[-1].root)
+                        == ref_shape(ref_kdyck_nodes(t.word, arity - 1)))
             for tree in built:
                 assert_same_tree(tree, t)
                 assert_same_tree(tree, ref_parse_tree(text, arity))
             # .root is built from the word, not kept from the given root
-            assert (KAryTree(arity, t.root).root
-                    == trees._nodes_of_word(t.word, arity))
+            assert (ref_shape(ref_tree(arity, t.root).root)
+                    == ref_shape(trees._nodes_of_word(t.word, arity)))
         tup = TreeTuple(tuple(parse_tree(str(t), arity) for t in forest))
         assert tup == TreeTuple(tuple(forest))
         assert tup.total_nodes == sum(ref_node_count(t.root) for t in forest)
@@ -515,7 +626,7 @@ def test_tree_tuples_built_from_words_match_nodes_at_size_10000():
         for p in [random_path(k, n, rng)] + shaped_paths(k, n):
             tup = bijections.box_to_tree_tuple(p, k)
             nodes = TreeTuple(tuple(
-                KAryTree(k + 2, ref_kdyck_nodes(t.word, k + 1)) for t in tup.trees))
+                ref_tree(k + 2, ref_kdyck_nodes(t.word, k + 1)) for t in tup.trees))
             assert tup == nodes and hash(tup) == hash(nodes)
             assert tup.total_nodes == nodes.total_nodes == n - 1
             for tree, want in zip(tup.trees, nodes.trees):
@@ -570,7 +681,7 @@ def test_parse_tree_rejections_match_the_reference():
 
 def test_trees_copy_and_pickle_with_their_root_built():
     t = parse_tree("((- -) -)", 2)
-    for tree in (t, KAryTree(2, t.root)):
+    for tree in (t, ref_tree(2, t.root)):
         assert tree.root is not None
         for other in (copy.copy(tree), copy.deepcopy(tree),
                       pickle.loads(pickle.dumps(tree))):
