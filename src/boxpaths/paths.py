@@ -341,12 +341,14 @@ def parse_composition(text: str, k: int) -> Composition:
 def box_ascents(path: PathWord, k: int) -> tuple[int, ...]:
     """Ascent tuple of a k-box path; for k = 0 the virtual tuple (b_i + 1, ..., 1).
 
-    The k = 0 case reads a Dyck path U^b1 D ... U^bm D as the virtual box
-    path obtained by rewriting D -> ULD and appending UL, found anew by
-    every call: an L-free word with a skew Dyck walk is a Dyck path, and
-    classify runs only to word a rejection.  For k >= 1, _accept keeps
-    the ascents on the path for every later call at the same k; a
-    rejection is raised anew each time.
+    The one gate of the k-box family: every map and statistic reads its
+    ascents here and raises its rejection.  The k = 0 case reads a Dyck
+    path U^b1 D ... U^bm D as the virtual box path obtained by rewriting
+    D -> ULD and appending UL, found anew by every call: an L-free word
+    with a skew Dyck walk is a Dyck path, and only a rejection runs the
+    skew scan, to word it.  For k >= 1, _accept keeps the ascents on the
+    path for every later call at the same k; a rejection is raised anew
+    each time.
     """
     if k >= 1:
         parts = _accept(path, k)
@@ -359,19 +361,17 @@ def box_ascents(path: PathWord, k: int) -> tuple[int, ...]:
     if "L" not in word and _skew_returns(word) is not None:
         # the U-runs before each D, then the empty run after the last
         return tuple(len(run) + 1 for run in word.split("D"))
-    # a rejection only: classify words it
-    cls = classify(path, 0)
     raise InvalidPathError(
-        f"not a Dyck path: {cls.reason or 'contains L steps'}")
+        f"not a Dyck path: {_scan_skew(word)[1] or 'contains L steps'}")
 
 
 def _accept(path: PathWord, k: int, parts: tuple[int, ...] | None = None
             ) -> tuple[int, ...] | str:
     """The ascents of path as a k-box path (k >= 1), or the text of its
-    rejection: parts, which a caller read off the blocks of a word it
-    built, else those kept on path, else the template scan's; they are
-    kept on path once they meet the bounds of _check_ascents.  The one
-    writer of the kept ascents.
+    rejection, "not a k-box path: " and the defect: parts, which a caller
+    read off the blocks of a word it built, else those kept on path, else
+    the template scan's; they are kept on path once they meet the bounds
+    of _check_ascents.  The one writer of the kept ascents.
     """
     word = path.word
     if parts is None:
@@ -387,7 +387,7 @@ def _accept(path: PathWord, k: int, parts: tuple[int, ...] | None = None
                     f"{min(parts, len(word) - 1)}")
     defect = _ascent_defect(k, parts)
     if defect is not None:
-        return defect
+        return f"not a {k}-box path: {defect}"
     PathWord._ascents.__set__(path, parts)
     return parts
 

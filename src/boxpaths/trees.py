@@ -343,13 +343,26 @@ def _augment(word: str, k: int) -> str:
 
 
 def _augmented_blocks(word: str, k: int) -> tuple[int, ...]:
-    """The ascents a_i of an augmented k-Dyck word, blocks U^a D^(k-1) L D;
-    a malformed word is rejected with the index of its first bad block."""
-    scan = _block_ascents(word, "D" * (k - 1) + "LD")
-    if isinstance(scan, int):
+    """The ascents a_i of an augmented k-Dyck word, the family's one gate:
+    blocks U^a D^(k-1) L D whose ends, at heights a_1 + ... + a_i - (k+1)i
+    as the k-Dyck word's D steps, stay >= 0 and end at 0."""
+    blocks = _block_ascents(word, "D" * (k - 1) + "LD")
+    if isinstance(blocks, int):
         raise InvalidPathError(
-            f"not an augmented {k}-Dyck word: bad block at index {scan}")
-    return scan
+            f"not an augmented {k}-Dyck word: bad block at index {blocks}")
+    height = index = 0
+    for a in blocks:
+        if height + a <= k:
+            # the block's (height + a + 1)-th step down is below the axis
+            raise InvalidPathError(
+                f"not an augmented {k}-Dyck word: dips below the x-axis "
+                f"at index {index + 2 * a + height}")
+        height += a - k - 1
+        index += a + k + 1
+    if height:
+        raise InvalidPathError(
+            f"not an augmented {k}-Dyck word: ends at height {height}, not 0")
+    return blocks
 
 
 def _strip_augmented(word: str, k: int) -> str:
@@ -370,4 +383,4 @@ def augmented_to_kdyck(path: PathWord, k: int) -> KDyckPath:
     """Read an augmented k-Dyck word (k >= 2) back as a k-Dyck path."""
     if k < 2:
         raise ValueError("augmented form needs k >= 2")
-    return KDyckPath(k, _strip_augmented(path.word, k))
+    return _unchecked(KDyckPath, k=k, word=_strip_augmented(path.word, k))

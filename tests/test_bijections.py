@@ -44,7 +44,6 @@ from boxpaths import (
 )
 from boxpaths import TreeTuple, generate_trees, kdyck_to_tree, tree_to_kdyck
 from boxpaths import bijections
-from boxpaths.bijections import _check_box
 from boxpaths.paths import _box_template, _check_ascents, _skew_returns
 from boxpaths.trees import _augment, _augmented_blocks, _strip_augmented
 
@@ -262,13 +261,16 @@ def test_compose_box_rejects_parts_that_are_not_augmented_dyck_words():
     # each part is block-shaped and the joined word meets the box bounds,
     # but a part's block heights dip below 0 or end above it; the first
     # would compose to UUUDLDUUUUDLDUDL, which decomposes to UUUDLD,UUUDLD
+    # (the parts' gate names the part and the index within it)
     cases = [
         (1, ("", "UUDLDUUUUDLD"),
-         "not an augmented 2-Dyck word: part 1 dips below the x-axis at block 0"),
+         "part 1: not an augmented 2-Dyck word: dips below the x-axis at index 4"),
         (2, ("", "", "UUUDDLDUUUUUDDLD"),
-         "not an augmented 3-Dyck word: part 2 dips below the x-axis at block 0"),
+         "part 2: not an augmented 3-Dyck word: dips below the x-axis at index 6"),
         (1, ("UUUUDLD", "UUDLD"),
-         "not an augmented 2-Dyck word: part 0 ends at height 1, not 0"),
+         "part 0: not an augmented 2-Dyck word: ends at height 1, not 0"),
+        (1, ("UUDD", ""),
+         "part 0: not an augmented 2-Dyck word: bad block at index 2"),
     ]
     for k, parts, message in cases:
         dec = BoxDecomposition(k, tuple(map(PathWord, parts)))
@@ -287,14 +289,33 @@ def _block_shaped_parts(k):
             for blocks in itertools.product(range(1, 5), repeat=m)]
 
 
+def _reference_composes(parts, k):
+    """Whether compose_box accepted block-shaped parts when it checked
+    the joined word with classify and each part's block heights apart
+    from its shape: the word is a k-box path, and each part's letter walk
+    (U up, D and L down) stays >= 0 and ends at 0."""
+    word = "".join(p.word + "U" for p in parts) + "D" * k + "L"
+    if classify(PathWord(word), k).box_size is None:
+        return False
+    for part in parts:
+        heights = list(itertools.accumulate(1 if ch == "U" else -1
+                                            for ch in part.word))
+        if heights and (min(heights) < 0 or heights[-1]):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_compose_box_accepts_only_the_decompositions_of_box_paths(k):
     # every tuple of block-shaped parts is rejected or is the
-    # decomposition of the path it composes to.  A tuple whose excesses
-    # do not sum to 0 joins to a word of no k-box path's length; of the
-    # 614 061 such tuples at k = 2, every 61st is composed, to keep the
-    # test short, and every other tuple at both k
+    # decomposition of the path it composes to, and it is accepted
+    # exactly where the classify-and-heights reference accepts it (the
+    # 7 225 tuples at k = 1).  A tuple whose excesses do not sum to 0
+    # joins to a word of no k-box path's length; of the 614 061 such
+    # tuples at k = 2, every 61st is composed, to keep the test short,
+    # and every other tuple at both k
     accepted = 0
+    wrong = []
     for i, tup in enumerate(itertools.product(_block_shaped_parts(k),
                                               repeat=k + 1)):
         parts, excesses = zip(*tup)
@@ -304,9 +325,14 @@ def test_compose_box_accepts_only_the_decompositions_of_box_paths(k):
         try:
             path = compose_box(dec)
         except InvalidPathError:
+            path = None
+        if (path is not None) != _reference_composes(parts, k):
+            wrong.append(parts)
+        if path is None:
             continue
         accepted += 1
         assert decompose_box(path, k) == dec, (parts, path.word)
+    assert wrong == []
     assert accepted == {1: 81, 2: 64}[k]
 
 
@@ -338,8 +364,8 @@ def test_maps_reject_non_box_input():
 
 def test_template_words_out_of_bounds_raise_invalid_path_error():
     # the template's shape with a first ascent below its bound k + 2: the
-    # ascent check's own text, raised as InvalidPathError by every map that
-    # reads the ascents, as by the map that classifies the word first
+    # ascent check's own text after "not a k-box path: ", raised as
+    # InvalidPathError by every map, all of which read the ascents
     maps = (composition_of, box_to_threshold, box_to_kt_dyck,
             box_to_dyck_prefix, return_injection, embed_all_long,
             box_to_tree_tuple)
@@ -348,7 +374,8 @@ def test_template_words_out_of_bounds_raise_invalid_path_error():
             with pytest.raises(InvalidPathError):
                 fn(PathWord(word), k)
         with pytest.raises(InvalidPathError,
-                           match=f"^prefix sum 1 at index 0 is below {k + 2}$"):
+                           match=f"^not a {k}-box path: prefix sum 1 at index 0 "
+                                 f"is below {k + 2}$"):
             composition_of(PathWord(word), k)
 
 
@@ -511,6 +538,15 @@ def test_a_path_is_scanned_once_by_every_check_and_forward_map(monkeypatch):
 # build what they derive from checked input without checking it again.
 
 
+def _reference_check_box(path, k):
+    """The check bijections used before box_ascents became every map's
+    one gate: reject a word that classify does not call a k-box path."""
+    cls = classify(path, k)
+    if cls.box_size is None:
+        raise InvalidPathError(
+            f"not a {k}-box path: {cls.reason or 'wrong shape'}")
+
+
 def ref_box_to_tree_tuple(path, k):
     dec = decompose_box(path, k)
     return TreeTuple(tuple(
@@ -531,7 +567,7 @@ def ref_tree_tuple_to_box(tup, k):
     if k == 0:
         return compose_box(BoxDecomposition(0, (PathWord(words[0]),)))
     path = PathWord("".join(w + "U" for w in words) + "D" * k + "L")
-    _check_box(path, k)
+    _reference_check_box(path, k)
     return path
 
 

@@ -6,6 +6,9 @@ tables and b-files live under tests/fixtures/.
 """
 
 import argparse
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -251,8 +254,41 @@ def test_biject_decomposition_inverse_rejects_a_part_below_the_axis(capsys):
         "biject", "--k", "1", "--to", "decomposition", "--inverse", ",UUDLDUUUUDLD",
     )
     assert (code, out) == (2, "")
-    assert err == ("error: not an augmented 2-Dyck word: part 1 dips below "
-                   "the x-axis at block 0\n")
+    assert err == ("error: part 1: not an augmented 2-Dyck word: dips below "
+                   "the x-axis at index 4\n")
+
+
+def test_forward_maps_reject_a_word_with_one_text():
+    # the four forward maps read a word's ascents through box_ascents, so
+    # each rejected word gets one error line, whichever map it was given
+    # to: every word of at most 5 letters, and template words that miss
+    # the box bounds, at k = -1..2
+    words = ["".join(letters) for n in range(6)
+             for letters in itertools.product("UDL", repeat=n)]
+    words += ["UUUUDL", "UDLDUUUUDL", "UUUUUUDDL", "UDDLDUUUUUUDDL"]
+    rejected = 0
+    for word in words:
+        for k in range(-1, 3):
+            try:
+                box_ascents(PathWord(word), k)
+                continue
+            except ValueError as exc:
+                want = (2, "", f"error: {exc}\n")
+            rejected += 1
+            for to in ("trees", "ktdyck", "threshold", "decomposition"):
+                got = run_quiet("biject", "--k", str(k), "--to", to, word)
+                assert got == want, (word, k, to)
+    # accepted: the Dyck words of semilength <= 2 at k = 0, UUDL at k = 1
+    assert rejected == 4 * len(words) - 5
+
+
+def run_quiet(*argv):
+    """The exit code, stdout and stderr of main(argv), caught without
+    capsys, which costs more than the call for short inputs."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_biject_size_one_images_are_empty(capsys):

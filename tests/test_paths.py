@@ -39,7 +39,16 @@ from boxpaths import (
     skew_dyck_words,
     stats,
 )
-from boxpaths.bijections import _require_box, box_to_dyck_prefix, decompose_box
+from boxpaths.bijections import (
+    box_to_dyck_prefix,
+    box_to_kt_dyck,
+    box_to_threshold,
+    box_to_tree_tuple,
+    decompose_box,
+    embed_all_long,
+    invert_return_injection,
+    return_injection,
+)
 from boxpaths.paths import (
     _TAIL_BUDGET,
     PathStats,
@@ -237,7 +246,9 @@ def _reference_box_ascents(word, k):
 
 
 def _reference_strip_augmented(word, k):
-    """The stripped word, or the old error message."""
+    """The stripped word, or the error message: the block shape by the
+    old loop, then the heights by a letter walk (U up, D and L down),
+    which must stay >= 0 and end at 0."""
     block_down = "D" * (k - 1) + "LD"
     out = []
     i = 0
@@ -250,6 +261,14 @@ def _reference_strip_augmented(word, k):
             return f"not an augmented {k}-Dyck word: bad block at index {i}"
         i += k + 1
         out.append("U" * (a - 1) + "D")
+    height = 0
+    for i, ch in enumerate(word):
+        height += 1 if ch == "U" else -1
+        if height < 0:
+            return (f"not an augmented {k}-Dyck word: dips below the "
+                    f"x-axis at index {i}")
+    if height:
+        return f"not an augmented {k}-Dyck word: ends at height {height}, not 0"
     return "".join(out)
 
 
@@ -453,32 +472,6 @@ def test_box_ascents_accepts_what_classify_accepts():
     assert accepted == expected
 
 
-def _reference_require_box(path, k):
-    """The old classify-based body of bijections._require_box: the box
-    size, or the message it raised."""
-    cls = classify(path, k)
-    if cls.box_size is None:
-        return f"not a {k}-box path: {cls.reason or 'wrong shape'}"
-    return cls.box_size
-
-
-def test_require_box_rejects_with_the_classify_message():
-    wrong = []
-    for path in _short_and_skew_words(8):
-        for k in range(-1, 5):
-            try:
-                got = len(_require_box(path, k))
-            except ValueError as exc:
-                got = str(exc)
-            try:
-                want = _reference_require_box(path, k)
-            except ValueError as exc:
-                want = str(exc)
-            if got != want:
-                wrong.append((path.word, k, got, want))
-    assert wrong == []
-
-
 def _outcome(check, path, k):
     """What check(path, k) returns, or the type and message it raises."""
     try:
@@ -495,8 +488,7 @@ def test_kept_ascents_do_not_depend_on_the_order_of_checks():
     # template words of size 2 whose first prefix sum is too low), and
     # the shaped paths.  All 88 573 words of at most 10 letters take
     # about four times as long.
-    checks = (box_ascents, classify, _require_box, box_return_count,
-              box_long_ascent_count)
+    checks = (box_ascents, classify, box_return_count, box_long_ascent_count)
     words = ["".join(letters) for n in range(9)
              for letters in itertools.product("UDL", repeat=n)]
     words += ["U" + "".join(letters) + "L"
@@ -529,9 +521,10 @@ def _rejection(check, path, k):
     return None
 
 
-def test_box_ascents_at_k0_classifies_only_the_words_it_rejects(monkeypatch):
+def test_box_ascents_never_calls_classify(monkeypatch):
     # an L-free word with a skew walk is a Dyck path and is split at
-    # once; classify runs only to word a rejection
+    # once; the skew scan, not classify, words a rejection at k = 0, and
+    # the template gate words one at k >= 1
     calls = []
 
     def counted(path, k=None):
@@ -542,12 +535,74 @@ def test_box_ascents_at_k0_classifies_only_the_words_it_rejects(monkeypatch):
     words = [w for m in range(6) for w in skew_dyck_words(m)] + ["D", "UUD", "DU"]
     rejected = []
     for w in words:
-        try:
-            box_ascents(PathWord(w), 0)
-        except InvalidPathError:
-            rejected.append(w)
+        for k in range(-1, 5):
+            try:
+                box_ascents(PathWord(w), k)
+            except ValueError:
+                if k == 0:
+                    rejected.append(w)
     assert rejected == [w for w in words if "L" in w] + ["D", "UUD", "DU"]
-    assert calls == rejected
+    assert calls == []
+
+
+# the k-box entry points beside box_ascents, each of which reads its
+# ascents through it
+_BOX_ENTRY_POINTS = (box_return_count, box_long_ascent_count, composition_of,
+                     box_to_dyck_prefix, box_to_kt_dyck, box_to_threshold,
+                     box_to_tree_tuple, decompose_box, return_injection,
+                     invert_return_injection, embed_all_long)
+
+# what return_injection raises of its own, for a path with one return or,
+# at k = 0, two returns the second of which is the virtual one
+_INJECTION_TEXTS = {
+    "path has a single return; nothing to inject",
+    "first return is followed by a bare virtual ascent (k = 0, two-return "
+    "case); no 1-return image exists",
+}
+
+
+def test_every_box_entry_point_rejects_as_box_ascents(monkeypatch):
+    # every word of at most 8 letters and every skew path of semilength
+    # at most 8, at k = -1..4: an entry point answers exactly where
+    # box_ascents does, and raises its type and text, with no call to
+    # classify.  composition_of rejects k < 1 with its own text first,
+    # and return_injection may raise its own on an accepted path
+    def no_classify(path, k=None):
+        raise AssertionError(f"classify({path.word!r}, {k}) was called")
+
+    monkeypatch.setattr("boxpaths.paths.classify", no_classify)
+    monkeypatch.setattr("boxpaths.bijections.classify", no_classify)
+    no_form = (ValueError, "composition form needs k >= 1 (0-box paths are "
+               "plain Dyck paths and have no UL-free template)")
+    wrong = []
+    accepted = 0
+    # one object per word, as the order-of-checks test above allows; a
+    # skew path of at most 8 letters is also a short word, and is run once
+    for path in {p.word: p for p in _short_and_skew_words(8)}.values():
+        for k in range(-1, 5):
+            want = _rejection(box_ascents, path, k)
+            accepted += want is None
+            for fn in _BOX_ENTRY_POINTS:
+                try:
+                    fn(path, k)
+                    got = None
+                except ValueError as exc:
+                    got = type(exc), str(exc)
+                if got == want:
+                    continue
+                if fn is composition_of and k < 1 and got == no_form:
+                    continue
+                if (fn is return_injection and want is None
+                        and got[0] is InvalidPathError
+                        and got[1] in _INJECTION_TEXTS):
+                    continue
+                wrong.append((path.word, k, fn.__name__, got, want))
+    assert wrong == []
+    # the Dyck paths of semilength at most 8, and the k-box paths (k >= 1)
+    # of semilength (k+2)n - 1 <= 8
+    assert accepted == sum(catalan(m) for m in range(9)) + sum(
+        count_box(k, n) for k in range(1, 5) for n in range(1, 4)
+        if (k + 2) * n - 1 <= 8)
 
 
 def test_box_statistics_reject_as_box_ascents():

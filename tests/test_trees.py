@@ -14,6 +14,7 @@ from boxpaths import (
     KAryTree,
     KDyckPath,
     KtDyckPath,
+    PathWord,
     TreeNode,
     TreeTuple,
     augmented_to_kdyck,
@@ -231,10 +232,50 @@ def test_augmented_requires_k_at_least_two():
 
 
 def test_strip_rejects_foreign_words():
-    with pytest.raises(InvalidPathError):
-        augmented_to_kdyck(parse_path("UUDL"), 2)
-    with pytest.raises(InvalidPathError):
-        augmented_to_kdyck(parse_path("UUDLD"), 2)
+    # the gate's texts name indices of the word passed, not of its strip
+    for word, message in (
+            ("UUDL", "bad block at index 2"),
+            ("UUDLD", "dips below the x-axis at index 4"),
+            ("UUDLDUDLD", "dips below the x-axis at index 4"),
+            ("UUUUDLD", "ends at height 1, not 0")):
+        with pytest.raises(InvalidPathError) as exc:
+            augmented_to_kdyck(parse_path(word), 2)
+        assert str(exc.value) == f"not an augmented 2-Dyck word: {message}"
+
+
+def test_augmented_gate_accepts_exactly_the_augmented_tree_words():
+    # every word of at most 9 letters at k = 1..4 (the gate's texts meet
+    # their reference in test_paths up to 10 letters): the gate accepts
+    # exactly the augmented words of the (k+1)-ary trees, classify gives
+    # them, and only them, an augmented size (k >= 2), and
+    # augmented_to_kdyck answers with the checked k-Dyck path or raises
+    # the gate's own text
+    words = ["".join(letters) for n in range(10)
+             for letters in itertools.product("UDL", repeat=n)]
+    for k in range(1, 5):
+        # a word of m blocks has 2(k+1)m letters
+        images = {trees._augment(t.word, k): t.word
+                  for m in range(9 // (2 * k + 2) + 1)
+                  for t in generate_trees(k + 1, m)}
+        accepted = {}
+        for word in words:
+            try:
+                accepted[word] = len(trees._augmented_blocks(word, k))
+            except InvalidPathError as exc:
+                message = str(exc)
+            else:
+                message = None
+            if k < 2:
+                continue
+            if classify(PathWord(word), k).augmented_size != accepted.get(word):
+                accepted[word] = "classify differs"
+            try:
+                got = augmented_to_kdyck(PathWord(word), k)
+            except InvalidPathError as exc:
+                assert str(exc) == message, (word, k)
+            else:
+                assert got == KDyckPath(k, images[word]), (word, k)
+        assert accepted == {w: t.count("D") for w, t in images.items()}, k
 
 
 # The node form of a tree, from before KAryTree took its word: the
