@@ -15,6 +15,8 @@ from .paths import (
     InvalidPathError,
     PathWord,
     _accept,
+    _augment,
+    _augmented_blocks,
     _box_word,
     _trusted_word,
     _unchecked,
@@ -26,9 +28,6 @@ from .trees import (
     KDyckPath,
     KtDyckPath,
     TreeTuple,
-    _augment,
-    _augmented_blocks,
-    _strip_augmented,
     kdyck_to_tree,
     tree_to_kdyck,  # noqa: F401  (no map here calls it; the bench tracer wraps it)
 )
@@ -155,38 +154,24 @@ def compose_box(dec: BoxDecomposition) -> PathWord:
 
     A decomposition from decompose_box (k >= 1) keeps the ascents of the
     path it was cut from, so its parts are not checked again: the word is
-    their join, and those ascents are the word's.  Any other decomposition
-    passes each part through the augmented-word gate,
-    trees._augmented_blocks, whose rejection is raised with the part's
+    their join, and _accept keeps those ascents on it.  Any other
+    decomposition passes each part through the augmented-word gate,
+    paths._augmented_blocks, whose rejection is raised with the part's
     index; parts that pass join to a k-box path, by the decomposition
-    bijection, so the word is not checked again.
-
-    The word's ascents are the parts' blocks in turn: the U after each
-    part joins the first U-run of the next part that has one, and the Us
-    after the last such part make the final run.  _accept keeps them on
-    the word, and classify reads them back.
+    bijection, whose ascents _accept reads by the template scan.
     """
     k = dec.k
+    ascents = getattr(dec, "_path_ascents", None)
+    if ascents is None:
+        for i, part in enumerate(dec.parts):
+            try:
+                _augmented_blocks(part.word, k + 1)
+            except InvalidPathError as exc:
+                raise InvalidPathError(f"part {i}: {exc}") from None
     if k == 0:
-        path = _trusted_word(_strip_augmented(dec.parts[0].word, 1))
+        # the part passed the gate, so ULD occurs only at its blocks' ends
+        path = _trusted_word(dec.parts[0].word.replace("ULD", "D"))
     else:
-        ascents = getattr(dec, "_path_ascents", None)
-        if ascents is None:
-            ascents = []
-            # the Us since the last block
-            run = 0
-            for i, part in enumerate(dec.parts):
-                try:
-                    blocks = _augmented_blocks(part.word, k + 1)
-                except InvalidPathError as exc:
-                    raise InvalidPathError(f"part {i}: {exc}") from None
-                if blocks:
-                    ascents.append(run + blocks[0])
-                    ascents += blocks[1:]
-                    run = 0
-                run += 1
-            ascents.append(run)
-            ascents = tuple(ascents)
         path = _trusted_word(
             "".join(p.word + "U" for p in dec.parts) + "D" * k + "L")
         _accept(path, k, ascents)

@@ -181,8 +181,9 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
     factor U D^k L can start only where a U-run ends, so there are exactly
     n of them, with semilength a_1 + ... + a_n = (k+2)n - 1.  Every k-box
     path has that shape, so any other word is not one: it takes the skew
-    scan, then at k >= 2 the augmented (k+1)-Dyck test.  _accept keeps
-    accepted ascents on the path, or reads them back if kept already.
+    scan, then at k >= 2 the augmented k-Dyck words' gate,
+    _augmented_blocks.  _accept keeps accepted ascents on the path, or
+    reads them back if kept already.
     """
     if k is not None and k < 0:
         raise ValueError("k must be >= 0")
@@ -207,10 +208,12 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
                              box_size=semilength + 1, tailed=True)
         return cls
     if k >= 2:
-        blocks = _block_ascents(word, "D" * (k - 1) + "LD")
-        if not isinstance(blocks, int):
-            return PathClass(True, None, dyck, semilength, k=k,
-                             augmented_size=len(blocks))
+        try:
+            blocks = _augmented_blocks(word, k)
+        except InvalidPathError:
+            return cls
+        return PathClass(True, None, dyck, semilength, k=k,
+                         augmented_size=len(blocks))
     return cls
 
 
@@ -240,6 +243,41 @@ def _block_ascents(word: str, tail: str) -> tuple[int, ...] | int:
         if end == i or not word.startswith(tail, end):
             return end
         i = end + len(tail)
+
+
+def _augment(word: str, k: int) -> str:
+    """Rewrite each D of a k-Dyck word (k >= 1) as U D^(k-1) L D."""
+    return word.replace("D", "U" + "D" * (k - 1) + "LD")
+
+
+def _augmented_blocks(word: str, k: int) -> tuple[int, ...]:
+    """The ascents a_i of an augmented k-Dyck word, the family's one gate:
+    blocks U^a D^(k-1) L D whose ends, at heights a_1 + ... + a_i - (k+1)i
+    as the k-Dyck word's D steps, stay >= 0 and end at 0."""
+    blocks = _block_ascents(word, "D" * (k - 1) + "LD")
+    if isinstance(blocks, int):
+        raise InvalidPathError(
+            f"not an augmented {k}-Dyck word: bad block at index {blocks}")
+    height = index = 0
+    for a in blocks:
+        if height + a <= k:
+            # the block's (height + a + 1)-th step down is below the axis
+            raise InvalidPathError(
+                f"not an augmented {k}-Dyck word: dips below the x-axis "
+                f"at index {index + 2 * a + height}")
+        height += a - k - 1
+        index += a + k + 1
+    if height:
+        raise InvalidPathError(
+            f"not an augmented {k}-Dyck word: ends at height {height}, not 0")
+    return blocks
+
+
+def _strip_augmented(word: str, k: int) -> str:
+    """Inverse of _augment: blocks U^a D^(k-1) L D back to U^(a-1) D."""
+    _augmented_blocks(word, k)
+    # in a well-formed word, U + tail occurs only at the end of each block
+    return word.replace("U" + "D" * (k - 1) + "LD", "D")
 
 
 def stats(path: PathWord) -> PathStats:
@@ -368,10 +406,11 @@ def box_ascents(path: PathWord, k: int) -> tuple[int, ...]:
 def _accept(path: PathWord, k: int, parts: tuple[int, ...] | None = None
             ) -> tuple[int, ...] | str:
     """The ascents of path as a k-box path (k >= 1), or the text of its
-    rejection, "not a k-box path: " and the defect: parts, which a caller
-    read off the blocks of a word it built, else those kept on path, else
-    the template scan's; they are kept on path once they meet the bounds
-    of _check_ascents.  The one writer of the kept ascents.
+    rejection, "not a k-box path: " and the defect; the one writer of the
+    kept ascents.  Given parts, they are kept unchecked: compose_box hands
+    over those that box_ascents accepted on the path decompose_box cut.
+    Else those kept on path are read back, or the template scan's are kept
+    once they meet the bounds of _check_ascents.
     """
     word = path.word
     if parts is None:
@@ -385,9 +424,9 @@ def _accept(path: PathWord, k: int, parts: tuple[int, ...] | None = None
             # an index past the word is the appended D: name the last letter
             return (f"not a {k}-box path: malformed block at index "
                     f"{min(parts, len(word) - 1)}")
-    defect = _ascent_defect(k, parts)
-    if defect is not None:
-        return f"not a {k}-box path: {defect}"
+        defect = _ascent_defect(k, parts)
+        if defect is not None:
+            return f"not a {k}-box path: {defect}"
     PathWord._ascents.__set__(path, parts)
     return parts
 

@@ -20,7 +20,13 @@ from itertools import combinations, product
 from operator import add
 from typing import Iterator
 
-from .paths import InvalidPathError, PathWord, _block_ascents, _unchecked
+from .paths import (
+    InvalidPathError,
+    PathWord,
+    _augment,
+    _strip_augmented,
+    _unchecked,
+)
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
@@ -335,41 +341,6 @@ def kdyck_to_tree(path: KDyckPath) -> KAryTree:
         except InvalidPathError:
             raise InvalidPathError("malformed k-Dyck path") from None
     return _unchecked(KAryTree, arity=path.k + 1, word=path.word)
-
-
-def _augment(word: str, k: int) -> str:
-    """Rewrite each D of a k-Dyck word (k >= 1) as U D^(k-1) L D."""
-    return word.replace("D", "U" + "D" * (k - 1) + "LD")
-
-
-def _augmented_blocks(word: str, k: int) -> tuple[int, ...]:
-    """The ascents a_i of an augmented k-Dyck word, the family's one gate:
-    blocks U^a D^(k-1) L D whose ends, at heights a_1 + ... + a_i - (k+1)i
-    as the k-Dyck word's D steps, stay >= 0 and end at 0."""
-    blocks = _block_ascents(word, "D" * (k - 1) + "LD")
-    if isinstance(blocks, int):
-        raise InvalidPathError(
-            f"not an augmented {k}-Dyck word: bad block at index {blocks}")
-    height = index = 0
-    for a in blocks:
-        if height + a <= k:
-            # the block's (height + a + 1)-th step down is below the axis
-            raise InvalidPathError(
-                f"not an augmented {k}-Dyck word: dips below the x-axis "
-                f"at index {index + 2 * a + height}")
-        height += a - k - 1
-        index += a + k + 1
-    if height:
-        raise InvalidPathError(
-            f"not an augmented {k}-Dyck word: ends at height {height}, not 0")
-    return blocks
-
-
-def _strip_augmented(word: str, k: int) -> str:
-    """Inverse of _augment: blocks U^a D^(k-1) L D back to U^(a-1) D."""
-    _augmented_blocks(word, k)
-    # in a well-formed word, U + tail occurs only at the end of each block
-    return word.replace("U" + "D" * (k - 1) + "LD", "D")
 
 
 def kdyck_to_augmented(path: KDyckPath) -> PathWord:

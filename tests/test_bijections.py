@@ -44,8 +44,14 @@ from boxpaths import (
 )
 from boxpaths import TreeTuple, generate_trees, kdyck_to_tree, tree_to_kdyck
 from boxpaths import bijections
-from boxpaths.paths import _box_template, _check_ascents, _skew_returns
-from boxpaths.trees import _augment, _augmented_blocks, _strip_augmented
+from boxpaths.paths import (
+    _augment,
+    _augmented_blocks,
+    _box_template,
+    _check_ascents,
+    _skew_returns,
+    _strip_augmented,
+)
 
 EXAMPLE = parse_path("UUUDLDUUUDLDUUDL")
 KT_EXAMPLE_BOX = parse_path("UUUUUDDLDUUUDDLDUUUDDL")
@@ -271,6 +277,8 @@ def test_compose_box_rejects_parts_that_are_not_augmented_dyck_words():
          "part 0: not an augmented 2-Dyck word: ends at height 1, not 0"),
         (1, ("UUDD", ""),
          "part 0: not an augmented 2-Dyck word: bad block at index 2"),
+        (0, ("ULD",),
+         "part 0: not an augmented 1-Dyck word: dips below the x-axis at index 2"),
     ]
     for k, parts, message in cases:
         dec = BoxDecomposition(k, tuple(map(PathWord, parts)))
@@ -487,8 +495,9 @@ def test_invert_return_injection_reads_the_candidate_once(monkeypatch):
 def test_a_path_is_scanned_once_by_every_check_and_forward_map(monkeypatch):
     # the ascents one check accepts are kept on the path, so classify,
     # box_ascents, stats and the four forward maps scan it once between
-    # them, and stats does not walk it; compose_box builds the joined
-    # word's ascents from its parts, or keeps those decompose_box read
+    # them, and stats does not walk it; compose_box keeps the ascents
+    # decompose_box read, or passes each part through the gate and scans
+    # the joined word once
     scanned = []
     walked = []
     part_scans = []
@@ -523,12 +532,14 @@ def test_a_path_is_scanned_once_by_every_check_and_forward_map(monkeypatch):
         assert compose_box(dec) == path
         assert scanned == [word]
         assert part_scans == []
-        # a decomposition it did not make is scanned part by part
+        # a decomposition it did not make is scanned part by part, then
+        # as the joined word
         for other in (BoxDecomposition(k, dec.parts), dataclasses.replace(dec)):
             assert compose_box(other) == path
             assert part_scans == [p.word for p in dec.parts]
+            assert scanned == [word, word]
             part_scans.clear()
-        assert scanned == [word]
+            del scanned[1:]
         assert walked == []
         scanned.clear()
 

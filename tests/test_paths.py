@@ -55,9 +55,9 @@ from boxpaths.paths import (
     _block_ascents,
     _scan_skew,
     _skew_walk,
+    _strip_augmented,
     _table,
 )
-from boxpaths.trees import _strip_augmented
 
 # skew Dyck path counts by semilength 0..11 (OEIS A002212)
 SKEW_COUNTS = [1, 1, 3, 10, 36, 137, 543, 2219, 9285, 39587, 171369, 751236]
@@ -724,6 +724,15 @@ def test_only_the_gate_writes_the_kept_ascents():
                  if isinstance(node, ast.FunctionDef) and _slot_uses(node)}
     assert functions == {"_accept": {"attribute", "string"},
                          "stats": {"string"}}
+
+
+def test_only_paths_names_the_block_scanner():
+    # paths owns every block word: the k-box template and the augmented
+    # k-Dyck gate are its own, and every other module asks them
+    source = Path(__file__).resolve().parent.parent / "src" / "boxpaths"
+    assert [f.name for f in sorted(source.glob("*.py"))
+            if _slot_uses(ast.parse(f.read_text()), {"_block_ascents"})
+            ] == ["paths.py"]
 
 
 # the entry in which decompose_box keeps the ascents of the path it cut

@@ -28,7 +28,7 @@ from boxpaths import (
     parse_tree,
     tree_to_kdyck,
 )
-from boxpaths import bijections, trees
+from boxpaths import bijections, paths, trees
 
 
 def test_generate_trees_counts():
@@ -254,13 +254,13 @@ def test_augmented_gate_accepts_exactly_the_augmented_tree_words():
              for letters in itertools.product("UDL", repeat=n)]
     for k in range(1, 5):
         # a word of m blocks has 2(k+1)m letters
-        images = {trees._augment(t.word, k): t.word
+        images = {paths._augment(t.word, k): t.word
                   for m in range(9 // (2 * k + 2) + 1)
                   for t in generate_trees(k + 1, m)}
         accepted = {}
         for word in words:
             try:
-                accepted[word] = len(trees._augmented_blocks(word, k))
+                accepted[word] = len(paths._augmented_blocks(word, k))
             except InvalidPathError as exc:
                 message = str(exc)
             else:
