@@ -156,18 +156,18 @@ def compose_box(dec: BoxDecomposition) -> PathWord:
     path it was cut from, so its parts are not checked again: the word is
     their join, and _accept keeps those ascents on it.  Any other
     decomposition passes each part through the augmented-word gate,
-    paths._augmented_blocks, whose rejection is raised with the part's
-    index; parts that pass join to a k-box path, by the decomposition
-    bijection, whose ascents _accept reads by the template scan.
+    paths._augmented_blocks, whose rejection text is raised after the
+    part's index; parts that pass join to a k-box path, by the
+    decomposition bijection, whose ascents _accept reads by the template
+    scan.
     """
     k = dec.k
     ascents = getattr(dec, "_path_ascents", None)
     if ascents is None:
         for i, part in enumerate(dec.parts):
-            try:
-                _augmented_blocks(part.word, k + 1)
-            except InvalidPathError as exc:
-                raise InvalidPathError(f"part {i}: {exc}") from None
+            blocks = _augmented_blocks(part.word, k + 1)
+            if isinstance(blocks, str):
+                raise InvalidPathError(f"part {i}: {blocks}")
     if k == 0:
         # the part passed the gate, so ULD occurs only at its blocks' ends
         path = _trusted_word(dec.parts[0].word.replace("ULD", "D"))
@@ -199,6 +199,8 @@ def box_to_tree_tuple(path: PathWord, k: int) -> TreeTuple:
 
 def tree_tuple_to_box(tup: TreeTuple, k: int) -> PathWord:
     """Inverse of box_to_tree_tuple."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if len(tup.trees) != k + 1:
         raise ValueError(f"expected {k + 1} trees, got {len(tup.trees)}")
     for tree in tup.trees:
@@ -331,11 +333,10 @@ def invert_return_injection(path: PathWord, k: int) -> PathWord | NotInvertible:
     else:
         return NotInvertible("no return to y=1")
     candidate = _trusted_word(word[1:pos + 1] + "U" + word[pos + 1:])
-    try:
-        ascents = box_ascents(candidate, k)
-    except ValueError as exc:
+    ascents = _accept(candidate, k)
+    if isinstance(ascents, str):
         return NotInvertible(
-            f"first return to y=1 at index {pos} is mid-factor: {exc}")
+            f"first return to y=1 at index {pos} is mid-factor: {ascents}")
     if _inject(ascents, k) != path:
         return NotInvertible("reinserted word does not map back")
     return candidate

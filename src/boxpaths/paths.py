@@ -128,45 +128,41 @@ class PathClass:
         return "Dyck" if self.dyck else "SkewDyck"
 
 
-def _skew_returns(word: str) -> int | None:
-    """The returns of a skew Dyck path, or None if word is not one.
+def _skew_returns(word: str) -> int | str:
+    """The returns of a skew Dyck path, or else the text of word's first
+    defect.
 
     The factors are found with `in`; the loop walks the heights only.  A
-    return is a step down to height 0, and no U ends at height 0.
+    return is a step down to height 0, and no U ends at height 0.  Only a
+    rejection walks the word again, letter by letter, to word its defect.
     """
-    if "UL" in word or "LU" in word:
-        return None
-    height = returns = 0
-    for ch in word:
-        if ch == "U":
-            height += 1
+    if "UL" not in word and "LU" not in word:
+        height = returns = 0
+        for ch in word:
+            if ch == "U":
+                height += 1
+            else:
+                height -= 1
+                if height <= 0:
+                    if height:
+                        break
+                    returns += 1
         else:
-            height -= 1
-            if height <= 0:
-                if height:
-                    return None
-                returns += 1
-    return returns if height == 0 else None
-
-
-def _scan_skew(word: str) -> tuple[bool, str | None]:
-    """(True, None) for a skew Dyck path, else False and its first defect."""
-    if _skew_returns(word) is not None:
-        return True, None
-    # a rejection only: find the first defect letter by letter
+            if height == 0:
+                return returns
     height = 0
     for i, ch in enumerate(word):
         if ch == "U":
             if i > 0 and word[i - 1] == "L":
-                return False, f"forbidden factor LU at index {i - 1}"
+                return f"forbidden factor LU at index {i - 1}"
             height += 1
         else:
             if ch == "L" and i > 0 and word[i - 1] == "U":
-                return False, f"forbidden factor UL at index {i - 1}"
+                return f"forbidden factor UL at index {i - 1}"
             height -= 1
             if height < 0:
-                return False, f"path dips below the x-axis at index {i}"
-    return False, f"path ends at height {height}, not 0"
+                return f"path dips below the x-axis at index {i}"
+    return f"path ends at height {height}, not 0"
 
 
 def classify(path: PathWord, k: int | None = None) -> PathClass:
@@ -174,16 +170,17 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
 
     For k >= 1 a word is first tried against the template
     U^a1 D^k L D ... U^an D^k L of box_ascents.  A word of that shape whose
-    ascents meet the bounds of _check_ascents is a k-box path of size n:
+    ascents meet the bounds of _ascent_defect is a k-box path of size n:
     every U-run is followed by D and every L by D or the end, so it has no
     UL or LU; each block's lowest point is its end, at height
     a_1 + ... + a_i - (k+2)i >= 0, and the last block ends at 0; and a
     factor U D^k L can start only where a U-run ends, so there are exactly
     n of them, with semilength a_1 + ... + a_n = (k+2)n - 1.  Every k-box
     path has that shape, so any other word is not one: it takes the skew
-    scan, then at k >= 2 the augmented k-Dyck words' gate,
+    gate, _skew_returns, then at k >= 2 the augmented k-Dyck words' gate,
     _augmented_blocks.  _accept keeps accepted ascents on the path, or
-    reads them back if kept already.
+    reads them back if kept already.  Each gate answers with its value or
+    its rejection text, and classify raises none of them.
     """
     if k is not None and k < 0:
         raise ValueError("k must be >= 0")
@@ -194,9 +191,9 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
             # the last ascent is at most k + 1, and the word ends
             # U^(k+1) D^k L exactly when it is k + 1
             return _box_class(k, len(parts), parts[-1] == k + 1)
-    ok, reason = _scan_skew(word)
-    if not ok:
-        return PathClass(False, reason, False, None, k=k)
+    returns = _skew_returns(word)
+    if isinstance(returns, str):
+        return PathClass(False, returns, False, None, k=k)
     dyck = "L" not in word
     semilength = path.semilength
     cls = PathClass(True, None, dyck, semilength, k=k)
@@ -208,12 +205,10 @@ def classify(path: PathWord, k: int | None = None) -> PathClass:
                              box_size=semilength + 1, tailed=True)
         return cls
     if k >= 2:
-        try:
-            blocks = _augmented_blocks(word, k)
-        except InvalidPathError:
-            return cls
-        return PathClass(True, None, dyck, semilength, k=k,
-                         augmented_size=len(blocks))
+        blocks = _augmented_blocks(word, k)
+        if not isinstance(blocks, str):
+            return PathClass(True, None, dyck, semilength, k=k,
+                             augmented_size=len(blocks))
     return cls
 
 
@@ -250,32 +245,33 @@ def _augment(word: str, k: int) -> str:
     return word.replace("D", "U" + "D" * (k - 1) + "LD")
 
 
-def _augmented_blocks(word: str, k: int) -> tuple[int, ...]:
-    """The ascents a_i of an augmented k-Dyck word, the family's one gate:
-    blocks U^a D^(k-1) L D whose ends, at heights a_1 + ... + a_i - (k+1)i
-    as the k-Dyck word's D steps, stay >= 0 and end at 0."""
+def _augmented_blocks(word: str, k: int) -> tuple[int, ...] | str:
+    """The ascents a_i of an augmented k-Dyck word, or else the text of its
+    rejection; the family's one gate: blocks U^a D^(k-1) L D whose ends,
+    at heights a_1 + ... + a_i - (k+1)i as the k-Dyck word's D steps, stay
+    >= 0 and end at 0."""
     blocks = _block_ascents(word, "D" * (k - 1) + "LD")
     if isinstance(blocks, int):
-        raise InvalidPathError(
-            f"not an augmented {k}-Dyck word: bad block at index {blocks}")
+        return f"not an augmented {k}-Dyck word: bad block at index {blocks}"
     height = index = 0
     for a in blocks:
         if height + a <= k:
             # the block's (height + a + 1)-th step down is below the axis
-            raise InvalidPathError(
-                f"not an augmented {k}-Dyck word: dips below the x-axis "
-                f"at index {index + 2 * a + height}")
+            return (f"not an augmented {k}-Dyck word: dips below the x-axis "
+                    f"at index {index + 2 * a + height}")
         height += a - k - 1
         index += a + k + 1
     if height:
-        raise InvalidPathError(
-            f"not an augmented {k}-Dyck word: ends at height {height}, not 0")
+        return f"not an augmented {k}-Dyck word: ends at height {height}, not 0"
     return blocks
 
 
 def _strip_augmented(word: str, k: int) -> str:
-    """Inverse of _augment: blocks U^a D^(k-1) L D back to U^(a-1) D."""
-    _augmented_blocks(word, k)
+    """Inverse of _augment: blocks U^a D^(k-1) L D back to U^(a-1) D;
+    raises the gate's rejection."""
+    blocks = _augmented_blocks(word, k)
+    if isinstance(blocks, str):
+        raise InvalidPathError(blocks)
     # in a well-formed word, U + tail occurs only at the end of each block
     return word.replace("U" + "D" * (k - 1) + "LD", "D")
 
@@ -299,8 +295,8 @@ def stats(path: PathWord) -> PathStats:
                           ascents=n, long_ascents=n - parts.count(1),
                           _word=word)
     returns = _skew_returns(word)
-    if returns is None:
-        raise InvalidPathError(f"not a skew Dyck path: {_scan_skew(word)[1]}")
+    if isinstance(returns, str):
+        raise InvalidPathError(f"not a skew Dyck path: {returns}")
     return PathStats(word.count("U"), returns, word.count("UD"),
                      word.count("UUD"), _word=word)
 
@@ -315,7 +311,9 @@ class Composition:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("composition form needs k >= 1")
-        _check_ascents(self.k, self.parts)
+        defect = _ascent_defect(self.k, self.parts)
+        if defect is not None:
+            raise ValueError(defect)
 
     @property
     def size(self) -> int:
@@ -325,17 +323,11 @@ class Composition:
         return ",".join(str(a) for a in self.parts)
 
 
-def _check_ascents(k: int, parts: tuple[int, ...]) -> None:
-    """Reject parts unless each is positive, they sum to (k+2)n - 1 and
-    a_1 + ... + a_i >= (k+2)i for i < n: the ascents of a k-box path, or
-    at k = 0 a virtual tuple (whose last part these bounds force to 1)."""
-    defect = _ascent_defect(k, parts)
-    if defect is not None:
-        raise ValueError(defect)
-
-
 def _ascent_defect(k: int, parts: tuple[int, ...]) -> str | None:
-    """What _check_ascents rejects parts for, or None if it accepts them.
+    """None if each part is positive, they sum to (k+2)n - 1 and
+    a_1 + ... + a_i >= (k+2)i for i < n: the ascents of a k-box path, or
+    at k = 0 a virtual tuple (whose last part these bounds force to 1).
+    Else the text of the first bound they miss.
 
     One pass accepts: the height sum(a - (k + 2)) of every proper prefix is
     at least 0 and the whole tuple ends at -1.  Only a rejection runs the
@@ -379,40 +371,44 @@ def parse_composition(text: str, k: int) -> Composition:
 def box_ascents(path: PathWord, k: int) -> tuple[int, ...]:
     """Ascent tuple of a k-box path; for k = 0 the virtual tuple (b_i + 1, ..., 1).
 
-    The one gate of the k-box family: every map and statistic reads its
-    ascents here and raises its rejection.  The k = 0 case reads a Dyck
-    path U^b1 D ... U^bm D as the virtual box path obtained by rewriting
-    D -> ULD and appending UL, found anew by every call: an L-free word
-    with a skew Dyck walk is a Dyck path, and only a rejection runs the
-    skew scan, to word it.  For k >= 1, _accept keeps the ascents on the
-    path for every later call at the same k; a rejection is raised anew
-    each time.
+    The entry point of the k-box family's gate, _accept: every map and
+    statistic reads its ascents here, and a rejection is raised with the
+    gate's text.  At k = 0 the tuple is found anew by every call; for
+    k >= 1 the gate keeps it on the path for every later call at the same
+    k.  A rejection is found anew each time.
     """
-    if k >= 1:
-        parts = _accept(path, k)
-        if isinstance(parts, str):
-            raise InvalidPathError(parts)
-        return parts
     if k < 0:
         raise ValueError("k must be >= 0")
-    word = path.word
-    if "L" not in word and _skew_returns(word) is not None:
-        # the U-runs before each D, then the empty run after the last
-        return tuple(len(run) + 1 for run in word.split("D"))
-    raise InvalidPathError(
-        f"not a Dyck path: {_scan_skew(word)[1] or 'contains L steps'}")
+    parts = _accept(path, k)
+    if isinstance(parts, str):
+        raise InvalidPathError(parts)
+    return parts
 
 
 def _accept(path: PathWord, k: int, parts: tuple[int, ...] | None = None
             ) -> tuple[int, ...] | str:
-    """The ascents of path as a k-box path (k >= 1), or the text of its
-    rejection, "not a k-box path: " and the defect; the one writer of the
-    kept ascents.  Given parts, they are kept unchecked: compose_box hands
-    over those that box_ascents accepted on the path decompose_box cut.
-    Else those kept on path are read back, or the template scan's are kept
-    once they meet the bounds of _check_ascents.
+    """The ascents of path as a k-box path (k >= 0), or else the text of
+    its rejection: "not a k-box path: " and the defect, or at k = 0 "not a
+    Dyck path: " and it.
+
+    At k = 0 a Dyck path U^b1 D ... U^bm D is read as the virtual box path
+    obtained by rewriting D -> ULD and appending UL; an L-free word with a
+    skew Dyck walk is a Dyck path, and nothing is kept.  For k >= 1 this
+    is the one writer of the kept ascents.  Given parts, they are kept
+    unchecked: compose_box hands over those that box_ascents accepted on
+    the path decompose_box cut.  Else those kept on path are read back,
+    or the template scan's are kept once they meet the bounds of
+    _ascent_defect.
     """
     word = path.word
+    if k == 0:
+        returns = _skew_returns(word)
+        if isinstance(returns, str):
+            return f"not a Dyck path: {returns}"
+        if "L" in word:
+            return "not a Dyck path: contains L steps"
+        # the U-runs before each D, then the empty run after the last
+        return tuple(len(run) + 1 for run in word.split("D"))
     if parts is None:
         kept = getattr(path, "_ascents", None)
         # only accepted ascents are kept, and n of them take 2((k+2)n - 1)
@@ -435,7 +431,7 @@ def _box_template(word: str, k: int) -> tuple[int, ...] | int:
     """The ascents of word = U^a1 D^k L D ... U^an D^k L (k >= 1), or else
     _block_ascents' index into word + "D"; no bounds are checked."""
     # with one more D the last block reads U^a D^k L D like the others; the
-    # empty word has no blocks, which _check_ascents rejects
+    # empty word has no blocks, which _ascent_defect rejects
     return _block_ascents(word + "D", "D" * k + "LD") if word else ()
 
 

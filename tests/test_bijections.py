@@ -47,8 +47,8 @@ from boxpaths import bijections
 from boxpaths.paths import (
     _augment,
     _augmented_blocks,
+    _ascent_defect,
     _box_template,
-    _check_ascents,
     _skew_returns,
     _strip_augmented,
 )
@@ -166,6 +166,15 @@ def test_tree_tuple_worked_example():
     assert [t.arity for t in tup.trees] == [3, 3]
     assert tup.total_nodes == 2
     assert tree_tuple_to_box(tup, 1) == EXAMPLE
+
+
+def test_tree_tuple_to_box_rejects_negative_k_first():
+    # as every forward map does, before the trees are counted: at k = -1
+    # one tree of arity 1 would otherwise be joined into the word UL
+    for k, tup in ((-1, TreeTuple(())), (-1, TreeTuple((KAryTree(1, ""),))),
+                   (-2, TreeTuple(()))):
+        with pytest.raises(ValueError, match="^k must be >= 0$"):
+            tree_tuple_to_box(tup, k)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -430,10 +439,26 @@ def test_return_injection_is_injective():
 def test_return_injection_not_onto_for_k2():
     # k=2, n=2: two single-return paths but only one two-return path
     missed = invert_return_injection(parse_path("UUUUUUDDLDUDDL"), 2)
-    assert isinstance(missed, NotInvertible)
-    assert "mid-factor" in missed.reason or "map back" in missed.reason
+    assert missed == NotInvertible(
+        "first return to y=1 at index 12 is mid-factor: "
+        "not a 2-box path: malformed block at index 10")
     hit = invert_return_injection(parse_path("UUUUUDDLDUUDDL"), 2)
     assert hit == parse_path("UUUUDDLDUUUDDL")
+
+
+def test_not_invertible_reasons_are_the_gates_texts():
+    # the reinserted word's rejection by the k-box gate, after the index
+    # of the first return to y = 1
+    reasons = {(word, k): invert_return_injection(parse_path(word), k).reason
+               for word, k in (("UDUUDD", 0), ("UUDL", 1), ("UUUDDL", 2))}
+    assert reasons == {
+        ("UDUUDD", 0): "first return to y=1 at index 4 is mid-factor: "
+                       "not a Dyck path: path dips below the x-axis at index 0",
+        ("UUDL", 1): "first return to y=1 at index 2 is mid-factor: "
+                     "not a 1-box path: malformed block at index 1",
+        ("UUUDDL", 2): "first return to y=1 at index 4 is mid-factor: "
+                       "not a 2-box path: malformed block at index 2",
+    }
 
 
 def test_return_injection_bijective_at_j1_for_k1():
@@ -478,18 +503,24 @@ def test_embed_all_long_matches_the_checked_body():
 
 
 def test_invert_return_injection_reads_the_candidate_once(monkeypatch):
-    # box_ascents once on the input and once on the candidate, whose
-    # ascents the re-injection reuses
-    real = bijections.box_ascents
+    # the k-box gate once on the input, through box_ascents, and once on
+    # the candidate, whose ascents the re-injection reuses or whose
+    # rejection text is the reason
+    real = bijections._accept
     calls = []
 
-    def counted(path, k):
+    def counted(path, k, parts=None):
         calls.append(path.word)
-        return real(path, k)
+        return real(path, k, parts)
 
-    monkeypatch.setattr(bijections, "box_ascents", counted)
+    monkeypatch.setattr("boxpaths.paths._accept", counted)
+    monkeypatch.setattr("boxpaths.bijections._accept", counted)
     assert invert_return_injection(parse_path("UUUUDLDUUDLDUUDL"), 1) == EXAMPLE
     assert calls == ["UUUUDLDUUDLDUUDL", EXAMPLE.word]
+    calls.clear()
+    assert isinstance(invert_return_injection(parse_path("UUDL"), 1),
+                      NotInvertible)
+    assert calls == ["UUDL", "UDUL"]
 
 
 def test_a_path_is_scanned_once_by_every_check_and_forward_map(monkeypatch):
@@ -585,7 +616,9 @@ def ref_tree_tuple_to_box(tup, k):
 def ref_path_of_ascents(parts, k):
     if k >= 1:
         return path_of_composition(Composition(k, parts))
-    _check_ascents(0, parts)
+    defect = _ascent_defect(0, parts)
+    if defect is not None:
+        raise ValueError(defect)
     return PathWord("".join("U" * (x - 1) + "D" for x in parts[:-1]))
 
 

@@ -351,6 +351,10 @@ def test_biject_usage_errors(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "biject", "--k", "1", "--to", "trees", "UXDL")
     assert code == 2 and err.startswith("error:")
+    # the empty tree of arity k + 2 = 1, rejected for its k
+    code, out, err = run(capsys, "biject", "--k", "-1", "--to", "trees",
+                         "--inverse", "-")
+    assert (code, out, err) == (2, "", "error: k must be >= 0\n")
 
 
 def test_verify_small_suite_passes(capsys):

@@ -53,7 +53,7 @@ from boxpaths.paths import (
     _TAIL_BUDGET,
     PathStats,
     _block_ascents,
-    _scan_skew,
+    _skew_returns,
     _skew_walk,
     _strip_augmented,
     _table,
@@ -314,7 +314,7 @@ def _short_and_skew_words(length):
     return words + [p for m in range(9) for p in generate_skew_dyck(m)]
 
 
-# classify, _scan_skew and stats as they were before classify tried the
+# classify, the skew gate and stats as they were before classify tried the
 # box template first and the scan walked the heights only; kept as the
 # references (the augmented test through the old loop above)
 def _reference_scan_skew(word):
@@ -425,16 +425,23 @@ def _one_letter_changes(word):
             yield word[:i] + ch + word[i + 1:]
 
 
+def _skew_verdict(word):
+    """_skew_returns' answer in the form of _reference_scan_skew: a count
+    of returns accepts, a text rejects."""
+    returns = _skew_returns(word)
+    return (False, returns) if isinstance(returns, str) else (True, None)
+
+
 def test_scan_and_stats_match_the_letter_by_letter_bodies():
     for path in _short_and_skew_words(10):
-        assert _scan_skew(path.word) == _reference_scan_skew(path.word)
+        assert _skew_verdict(path.word) == _reference_scan_skew(path.word)
         assert _stats_or_message(path) == _reference_stats(path)
     messages = set()
     for base in _shaped_box_paths(1, 10**4) + _shaped_box_paths(2, 10**4):
         assert _stats_or_message(base) == _reference_stats(base)
         for word in _one_letter_changes(base.word):
             path = PathWord(word)
-            got = _scan_skew(word)
+            got = _skew_verdict(word)
             assert got == _reference_scan_skew(word)
             assert _stats_or_message(path) == _reference_stats(path)
             if not got[0]:
@@ -733,6 +740,25 @@ def test_only_paths_names_the_block_scanner():
     assert [f.name for f in sorted(source.glob("*.py"))
             if _slot_uses(ast.parse(f.read_text()), {"_block_ascents"})
             ] == ["paths.py"]
+
+
+def test_gates_answer_and_only_entry_points_raise():
+    # every gate in paths and bijections returns its value or the text of
+    # its rejection, and its readers test the answer with isinstance, so
+    # no exception is caught there but the ValueError of int() on the
+    # entries of a composition or a threshold sequence, which is reworded
+    source = Path(__file__).resolve().parent.parent / "src" / "boxpaths"
+    handlers = []
+    for name in ("paths.py", "bijections.py"):
+        for top in ast.parse((source / name).read_text()).body:
+            handlers += [(name, getattr(top, "name", None),
+                          node.type and ast.unparse(node.type))
+                         for node in ast.walk(top)
+                         if isinstance(node, ast.ExceptHandler)]
+    assert sorted(handlers) == [
+        ("bijections.py", "parse_threshold", "ValueError"),
+        ("paths.py", "parse_composition", "ValueError"),
+    ]
 
 
 # the entry in which decompose_box keeps the ascents of the path it cut
