@@ -166,6 +166,10 @@ def _biject_inverse(value: str, to: str, k: int) -> str:
 def cmd_biject(args) -> int:
     if args.composition and args.inverse:
         raise ValueError("--composition only applies to forward maps")
+    # one text for every target, before an image's parser words the k it
+    # derives from this one (the ktdyck k + 1, the tree arity k + 2)
+    if args.k < 0:
+        raise ValueError("k must be >= 0")
     if args.inverse:
         print(_biject_inverse(args.value, args.to, args.k))
         return 0

@@ -20,12 +20,12 @@ polynomial in t, and compute every column once, from the columns below it,
 with online products (van der Hoeven, "Relax, but don't be too lazy", 2002).
 A product packs each factor column into one int, coefficient j at bit j*w
 (Kronecker substitution), so its column n is a sum of n + 1 big-int
-products, read back as T + 1 signed base-2^w digits.  The width w bounds
-every digit of the sum, from the running maxima of the factors'
-coefficients; past _PACK_BITS bits the product multiplies coefficient by
-coefficient instead.  BiSeries arithmetic is a separate code path on full
-truncated products; the *_residual functions use it to check what the
-solvers return.
+products, read back as T + 1 unsigned base-2^w digits, since every factor
+is a counting series.  The width w bounds every digit of the sum; past
+_PACK_BITS bits, or for a negative coefficient, the product multiplies
+coefficient by coefficient instead.  BiSeries arithmetic is a separate
+code path on full truncated products; the *_residual functions use it to
+check what the solvers return.
 """
 
 from __future__ import annotations
@@ -252,8 +252,10 @@ def _pack(poly: list[int], width: int) -> int:
 
 
 def _bit_length(poly: list[int]) -> int:
-    """Bit length of the largest |coefficient| of poly."""
-    return max(max(poly), -min(poly)).bit_length() if poly else 0
+    """Bit length of poly's largest coefficient; -1 if one is negative."""
+    if not poly:
+        return 0
+    return max(poly).bit_length() if min(poly) >= 0 else -1
 
 
 def _loop_product(a: _Columns, b: _Columns, n: int) -> list[int]:
@@ -275,15 +277,15 @@ class _Product:
     """The rule of the online product a * b, by Kronecker substitution.
 
     Every factor column is packed as one int, its value at t = 2^w, and
-    column n is the sum of the n + 1 int products A[i] B[n-i].  Digit j of
-    that sum in base 2^w is the t^j coefficient, provided every coefficient
-    has |c| < 2^(w-1); the digits above t^T and their carries only add
-    multiples of 2^((T+1)w), so one masked, signed-digit read gives the
-    column.  The width w comes from the running maxima of the factors'
-    coefficient bit lengths: bits(a) + bits(b) + bits(n+1) + bits(T+1) + 1.
-    When that outgrows w, both factors are packed again, _PACK_SLACK bits
-    wider; once it passes _PACK_BITS, this and every later column (the
-    bound never shrinks) run the coefficient loop instead.  When a is b,
+    column n is the sum of the n + 1 int products A[i] B[n-i].  With no
+    negative coefficient, digit j of that sum in base 2^w is the t^j
+    coefficient when no digit reaches 2^w, so nothing carries.  A digit sums
+    at most (n+1)(T+1) products below 2^(bits(a) + bits(b)), the running
+    maxima of the factors' coefficient bit lengths, so a width of
+    bits(a) + bits(b) + bits(n+1) + bits(T+1) holds it.  When that outgrows
+    w, both factors are packed again, _PACK_SLACK bits wider; once it
+    passes _PACK_BITS, or a factor column has a negative coefficient, this
+    and every later column run the coefficient loop instead.  When a is b,
     as in R * R, the two packed lists are one."""
 
     def __init__(self, a: _Columns, b: _Columns):
@@ -301,21 +303,19 @@ class _Product:
             self.packed_b[:] = [_pack(b[i], width) for i in range(n + 1)]
         self.width = width
         self.shifts = range(0, (T + 1) * width, width)
-        self.half = 1 << (width - 1)
-        self.bias = _pack([self.half] * (T + 1), width)
         self.digit_mask = (1 << width) - 1
-        self.low_mask = (1 << ((T + 1) * width)) - 1
 
     def __call__(self, n: int) -> list[int]:
         a, b, T = self.a, self.b, self.a.T
         if self.width is None:
             return _loop_product(a, b, n)
         col_a, col_b = a[n], b[n]
-        self.bits_a = max(self.bits_a, _bit_length(col_a))
-        self.bits_b = max(self.bits_b, _bit_length(col_b))
+        bits_a, bits_b = _bit_length(col_a), _bit_length(col_b)
+        self.bits_a = max(self.bits_a, bits_a)
+        self.bits_b = max(self.bits_b, bits_b)
         need = (self.bits_a + self.bits_b + (n + 1).bit_length()
-                + (T + 1).bit_length() + 1)
-        if need > _PACK_BITS:
+                + (T + 1).bit_length())
+        if need > _PACK_BITS or bits_a < 0 or bits_b < 0:
             self.width = self.packed_a = self.packed_b = None
             return _loop_product(a, b, n)
         if need > self.width:
@@ -325,9 +325,8 @@ class _Product:
             if b is not a:
                 self.packed_b.append(_pack(col_b, self.width))
         total = sum(map(mul, self.packed_a, reversed(self.packed_b)))
-        low = (total + self.bias) & self.low_mask
-        half, mask = self.half, self.digit_mask
-        return _trim([(low >> s & mask) - half for s in self.shifts])
+        mask = self.digit_mask
+        return _trim([total >> s & mask for s in self.shifts])
 
 
 def _combine(*terms: tuple[int, list[int]]) -> list[int]:

@@ -357,6 +357,17 @@ def test_biject_usage_errors(capsys):
     assert (code, out, err) == (2, "", "error: k must be >= 0\n")
 
 
+def test_biject_rejects_a_negative_k_with_one_text(capsys):
+    # checked before the value is read, so no image parser words it in
+    # terms of its own parameter (the ktdyck k + 1, the tree arity k + 2)
+    forms = [((), "UDL"), (("--composition",), "1")]
+    forms += [(("--inverse",), value) for value in ("-", "0", "UD", "UUDL")]
+    for k, to, (form, value) in itertools.product(
+            ("-1", "-2"), ("trees", "ktdyck", "threshold", "decomposition"), forms):
+        argv = ("biject", "--k", k, "--to", to, *form, value)
+        assert run(capsys, *argv) == (2, "", "error: k must be >= 0\n"), argv
+
+
 def test_verify_small_suite_passes(capsys):
     code, out, err = run(
         capsys, "verify", "--suite", "formulas", "--max-k", "1", "--max-n", "3"

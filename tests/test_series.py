@@ -220,8 +220,10 @@ def test_packed_and_looped_products_agree(monkeypatch):
 
 @pytest.mark.parametrize("bits", [0, 40, 10**9])
 def test_packed_product_of_signed_columns(monkeypatch, bits):
-    # with no slack the width is exactly the bound, which the full columns
-    # of equal negative coefficients reach: every digit sums the most terms
+    # the signed columns run the coefficient loop from their first negative
+    # coefficient on; with no slack the width is exactly the bound, which
+    # the full columns of equal positive coefficients reach: every digit
+    # sums the most terms
     monkeypatch.setattr(series, "_PACK_BITS", bits)
     monkeypatch.setattr(series, "_PACK_SLACK", 0)
     rng = random.Random(bits)
@@ -232,7 +234,7 @@ def test_packed_product_of_signed_columns(monkeypatch, bits):
              for n in range(X + 1)] for _ in range(2)]
     a = series._Columns(T, lambda n: cols[0][n])
     b = series._Columns(T, lambda n: cols[1][n])
-    full = series._Columns(T, lambda n: [1 - 2**30] * (T + 1))
+    full = series._Columns(T, lambda n: [2**30 - 1] * (T + 1))
     for x, y in ((a, b), (a, a), (full, full)):
         got = x * y
         for n in range(X + 1):
@@ -243,6 +245,17 @@ def test_packed_product_of_signed_columns(monkeypatch, bits):
                         if j1 + j2 <= T:
                             want[j1 + j2] += c * d
             assert got[n] == series._trim(want)
+
+
+@pytest.mark.parametrize("T, X", [(6, 14), (7, 16), (13, 24)])
+def test_solvers_pack_every_product_column(monkeypatch, T, X):
+    # every factor the solvers multiply is a counting series, so at the
+    # orders of verify and the benchmark no column leaves the packed read
+    def loop(a, b, n):
+        raise AssertionError(f"column {n} left the packed product")
+
+    monkeypatch.setattr(series, "_loop_product", loop)
+    _all_solves(T, X)
 
 
 def test_tree_series_coefficients():
