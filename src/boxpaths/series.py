@@ -18,14 +18,15 @@ coefficients alone (R after moving (1 - x^2) R - R to the right-hand side).
 The solvers therefore hold a series as a list of x-columns, each a
 polynomial in t, and compute every column once, from the columns below it,
 with online products (van der Hoeven, "Relax, but don't be too lazy", 2002).
-A product packs each factor column into one int, coefficient j at bit j*w
-(Kronecker substitution), so its column n is a sum of n + 1 big-int
-products, read back as T + 1 unsigned base-2^w digits, since every factor
-is a counting series.  The width w bounds every digit of the sum; past
-_PACK_BITS bits, or for a negative coefficient, the product multiplies
-coefficient by coefficient instead.  BiSeries arithmetic is a separate
-code path on full truncated products; the *_residual functions use it to
-check what the solvers return.
+Each column is stored once, as one int with coefficient j at bit j*w
+(Kronecker substitution), at one width w for every series of a solve: a
+rule is an integer combination of ints, and column n of a product a sum of
+n + 1 big-int products.  Every series solved is a counting series, so no
+digit is negative, and each solve keeps its columns' digit sums below
+2^w - 1, so no digit reaches 2^w; the digits are read once, at the end.
+Past _PACK_BITS bits a product multiplies coefficient by coefficient
+instead.  BiSeries arithmetic is a separate code path on full truncated
+products; the *_residual functions use it to check what the solvers return.
 """
 
 from __future__ import annotations
@@ -63,10 +64,12 @@ class BiSeries:
     @staticmethod
     def build(t_order: int, x_order: int, terms=()) -> "BiSeries":
         """Series with the given (j, n, value) terms, zero elsewhere; every
-        value must be a whole number."""
+        exponent must be >= 0 and every value a whole number."""
         _check_orders(t_order, x_order)
         rows = [[0] * (x_order + 1) for _ in range(t_order + 1)]
         for j, n, value in terms:
+            if j < 0 or n < 0:
+                raise ValueError(f"term {(j, n, value)} has a negative exponent")
             value = _integer(value)
             if j <= t_order and n <= x_order:
                 rows[j][n] += value
@@ -186,61 +189,21 @@ def _x(T: int, X: int) -> BiSeries:
 # ------------------------------------------------------------ the solvers
 
 
+# A product multiplies packed columns while its digit bound needs at most
+# this many bits, and runs the coefficient loop past it; past it, too, a
+# width grows to at least twice itself, so that growths stay rare.  Timed
+# solves at orders up to (101, 200), and of C_5 to x^800 at t_order 0
+# (widths near 3000 bits), found the packed product the faster at every
+# width they reached, so the loop takes over only past them.
+_PACK_BITS = 4096
+# Bits added to the width a growth needs, so that growths are rare.
+_PACK_SLACK = 32
+
+
 def _trim(poly: list[int]) -> list[int]:
     while poly and not poly[-1]:
         poly.pop()
     return poly
-
-
-class _Columns:
-    """A series in x held as its x-columns.  Column n is a polynomial in t,
-    a list of ints truncated at t^T with no trailing zeros.  `rule(n)`
-    returns column n and may read only columns below n of this series, and
-    columns up to n of the series it is built from; each column is computed
-    on first use and kept.  The rule of a product is a _Product, which keeps
-    its factors' columns packed into ints."""
-
-    def __init__(self, T: int, rule):
-        self.T = T
-        self._rule = rule
-        self._cols: list[list[int]] = []
-        self._powers: list[_Columns] = []
-
-    def __getitem__(self, n: int) -> list[int]:
-        if n < 0:
-            return []
-        cols = self._cols
-        while len(cols) <= n:
-            cols.append(self._rule(len(cols)))
-        return cols[n]
-
-    def __mul__(self, other: "_Columns") -> "_Columns":
-        """Online product: column n is the sum of a[i] b[n-i], i = 0..n."""
-        return _Columns(self.T, _Product(self, other))
-
-    def power(self, e: int) -> "_Columns":
-        """self^e, each power the product of the one below and self."""
-        powers = self._powers
-        if not powers:
-            powers += [_Columns(self.T, lambda n: [] if n else [1]), self]
-        while len(powers) <= e:
-            powers.append(powers[-1] * self)
-        return powers[e]
-
-    def to_biseries(self, x_order: int) -> BiSeries:
-        T = self.T
-        cols = [(self[n] + [0] * (T + 1))[:T + 1] for n in range(x_order + 1)]
-        return BiSeries(T, x_order, tuple(zip(*cols)))
-
-
-# A product packs its columns while a packed coefficient needs at most this
-# many bits, and runs the coefficient loop past it: packed ints carry every
-# coefficient at the width of the largest, and digits above t^T that the loop
-# skips, which past this width costs more than the loop's Python overhead.
-# Set from timed solves at orders (21, 59), (51, 100) and (101, 200).
-_PACK_BITS = 384
-# Bits added to the width a repack needs, so that repacks are rare.
-_PACK_SLACK = 32
 
 
 def _pack(poly: list[int], width: int) -> int:
@@ -251,95 +214,151 @@ def _pack(poly: list[int], width: int) -> int:
     return value
 
 
-def _bit_length(poly: list[int]) -> int:
-    """Bit length of poly's largest coefficient; -1 if one is negative."""
-    if not poly:
-        return 0
-    return max(poly).bit_length() if min(poly) >= 0 else -1
+class _Solve:
+    """The one Kronecker width w that every series of a solve shares.
+
+    Each x-column is stored once, as its polynomial in t evaluated at
+    t = 2^w, so an integer combination of columns is the packed combination
+    and t times a column is a shift by w, masked to T + 1 digits.  Every
+    series a solver builds is a counting series, so every digit is a
+    non-negative count, and the solve keeps each column's digit sum, its
+    value at t = 1, below 2^w - 1.  So every digit is below 2^w: the int's
+    base-2^w digits are the coefficients, and its residue mod 2^w - 1 is
+    its digit sum.  Before a rule packs a column, it passes `fit` a bound
+    on that column's digit sum.  A bound that does not fit repacks every
+    column of the solve at a wider width: the bound's bits plus
+    _PACK_SLACK, and past _PACK_BITS at least twice the old width.  So a
+    rule forces every column it reads before it reads any, and never
+    combines a value packed at the old width."""
+
+    def __init__(self, T: int):
+        self.T = T
+        self.series: list[_Columns] = []
+        self._resize(2)  # the least width that holds the digit sum 1
+
+    def _resize(self, width: int) -> None:
+        self.width = width
+        self.cap = (1 << width) - 1
+        self.mask = (1 << (self.T + 1) * width) - 1
+        self.t = (1 << width) & self.mask  # t packed; 0 when T = 0
+
+    def fit(self, bound: int) -> None:
+        """Widen the solve, if need be, to hold a digit sum of `bound`."""
+        if bound < self.cap:
+            return
+        need = (bound + 1).bit_length()
+        if need <= _PACK_BITS:
+            width = min(_PACK_BITS, need + _PACK_SLACK)
+        else:
+            width = max(need, 2 * self.width)
+        for s in self.series:
+            s.cols[:] = [_pack(s.digits(n), width) for n in range(len(s.cols))]
+        self._resize(width)
+
+    def combine(self, *terms: tuple, extra: int = 0) -> int:
+        """The sum of c * series[m] over the (c, series, m) terms, which is a
+        counting column: its digit sum is at most that of its positive
+        terms, plus `extra`."""
+        for _, s, m in terms:
+            s[m]  # force every column before reading any
+        self.fit(extra + sum(c * s.sums[m] for c, s, m in terms
+                             if c > 0 and m >= 0))
+        return sum(c * s[m] for c, s, m in terms)
+
+
+class _Columns:
+    """A series in x held as its x-columns, packed at its solve's width, and
+    each column's digit sum.  `rule(n)` returns column n, packed, or as the
+    coefficient loop's digit list.  It may read only columns below n of this
+    series, and columns up to n of the series it is built from.  Each column
+    is computed on first use and kept, and so is its digit list once read."""
+
+    def __init__(self, solve: _Solve, rule):
+        self.solve = solve
+        self._rule = rule
+        self.cols: list[int] = []
+        self.sums: list[int] = []
+        self._digits: dict[int, list[int]] = {}
+        self._powers: list[_Columns] = []
+        solve.series.append(self)
+
+    def __getitem__(self, n: int) -> int:
+        cols = self.cols
+        if n < len(cols):
+            return cols[n] if n >= 0 else 0
+        solve = self.solve
+        while len(cols) <= n:
+            value = self._rule(len(cols))
+            if value.__class__ is list:
+                total = sum(value)
+                solve.fit(total)
+                self._digits[len(cols)] = value
+                value = _pack(value, solve.width)
+            else:
+                total = value % solve.cap
+            self.sums.append(total)
+            cols.append(value)
+        return cols[n]
+
+    def digits(self, n: int) -> list[int]:
+        """Column n as a list of coefficients with no trailing zeros."""
+        poly = self._digits.get(n)
+        if poly is None:
+            value, solve = self[n], self.solve
+            poly = self._digits[n] = [
+                value >> s & solve.cap
+                for s in range(0, value.bit_length(), solve.width)]
+        return poly
+
+    def __mul__(self, other: "_Columns") -> "_Columns":
+        """Online product: column n is the sum of a[i] b[n-i], i = 0..n."""
+        return _Columns(self.solve, lambda n: _product(self, other, n))
+
+    def power(self, e: int) -> "_Columns":
+        """self^e, each power the product of the one below and self."""
+        powers = self._powers
+        if not powers:
+            powers += [_Columns(self.solve, lambda n: 0 if n else 1), self]
+        while len(powers) <= e:
+            powers.append(powers[-1] * self)
+        return powers[e]
+
+    def to_biseries(self, x_order: int) -> BiSeries:
+        T = self.solve.T
+        cols = [(self.digits(n) + [0] * (T + 1))[:T + 1]
+                for n in range(x_order + 1)]
+        return BiSeries(T, x_order, tuple(zip(*cols)))
 
 
 def _loop_product(a: _Columns, b: _Columns, n: int) -> list[int]:
-    """Column n of a * b, coefficient by coefficient."""
-    T = a.T
+    """Column n of a * b as a digit list, coefficient by coefficient."""
+    T = a.solve.T
     out = [0] * (T + 1)
     for i in range(n + 1):
-        q = b[n - i]
+        q = b.digits(n - i)
         if not q:
             continue
-        for di, c in enumerate(a[i]):
+        for di, c in enumerate(a.digits(i)):
             if c:
                 for dj, d in enumerate(q[:T + 1 - di], di):
                     out[dj] += c * d
     return _trim(out)
 
 
-class _Product:
-    """The rule of the online product a * b, by Kronecker substitution.
-
-    Every factor column is packed as one int, its value at t = 2^w, and
-    column n is the sum of the n + 1 int products A[i] B[n-i].  With no
-    negative coefficient, digit j of that sum in base 2^w is the t^j
-    coefficient when no digit reaches 2^w, so nothing carries.  A digit sums
-    at most (n+1)(T+1) products below 2^(bits(a) + bits(b)), the running
-    maxima of the factors' coefficient bit lengths, so a width of
-    bits(a) + bits(b) + bits(n+1) + bits(T+1) holds it.  When that outgrows
-    w, both factors are packed again, _PACK_SLACK bits wider; once it
-    passes _PACK_BITS, or a factor column has a negative coefficient, this
-    and every later column run the coefficient loop instead.  When a is b,
-    as in R * R, the two packed lists are one."""
-
-    def __init__(self, a: _Columns, b: _Columns):
-        self.a, self.b = a, b
-        self.packed_a: list[int] = []
-        self.packed_b = self.packed_a if a is b else []
-        self.bits_a = self.bits_b = 0
-        self.width = 0
-
-    def _repack(self, width: int, n: int) -> None:
-        """Pack columns 0..n of both factors at `width` bits a coefficient."""
-        a, b, T = self.a, self.b, self.a.T
-        self.packed_a[:] = [_pack(a[i], width) for i in range(n + 1)]
-        if b is not a:
-            self.packed_b[:] = [_pack(b[i], width) for i in range(n + 1)]
-        self.width = width
-        self.shifts = range(0, (T + 1) * width, width)
-        self.digit_mask = (1 << width) - 1
-
-    def __call__(self, n: int) -> list[int]:
-        a, b, T = self.a, self.b, self.a.T
-        if self.width is None:
-            return _loop_product(a, b, n)
-        col_a, col_b = a[n], b[n]
-        bits_a, bits_b = _bit_length(col_a), _bit_length(col_b)
-        self.bits_a = max(self.bits_a, bits_a)
-        self.bits_b = max(self.bits_b, bits_b)
-        need = (self.bits_a + self.bits_b + (n + 1).bit_length()
-                + (T + 1).bit_length())
-        if need > _PACK_BITS or bits_a < 0 or bits_b < 0:
-            self.width = self.packed_a = self.packed_b = None
-            return _loop_product(a, b, n)
-        if need > self.width:
-            self._repack(min(_PACK_BITS, need + _PACK_SLACK), n)
-        else:
-            self.packed_a.append(_pack(col_a, self.width))
-            if b is not a:
-                self.packed_b.append(_pack(col_b, self.width))
-        total = sum(map(mul, self.packed_a, reversed(self.packed_b)))
-        mask = self.digit_mask
-        return _trim([total >> s & mask for s in self.shifts])
-
-
-def _combine(*terms: tuple[int, list[int]]) -> list[int]:
-    """The sum of c * poly over the (c, poly) pairs."""
-    out = [0] * max(len(p) for _, p in terms)
-    for c, poly in terms:
-        for j, v in enumerate(poly):
-            out[j] += c * v
-    return _trim(out)
-
-
-def _times_t(poly: list[int], T: int) -> list[int]:
-    return _trim(([0] + poly)[:T + 1]) if poly else []
+def _product(a: _Columns, b: _Columns, n: int):
+    """Column n of the online product a * b, by Kronecker substitution: the
+    sum of the n + 1 int products a[i] b[n-i], masked to T + 1 digits.
+    Every digit of the sum, above t^T too, is at most its digit sum, the
+    sum of the n + 1 products of the factors' digit sums; once that fits
+    the width, no digit carries.  Past _PACK_BITS bits the coefficient loop
+    multiplies the factors' digit lists instead."""
+    a[n], b[n]  # force both columns before reading any
+    bound = sum(map(mul, a.sums[:n + 1], b.sums[n::-1]))
+    if (bound + 1).bit_length() > _PACK_BITS:
+        return _loop_product(a, b, n)
+    solve = a.solve
+    solve.fit(bound)
+    return sum(map(mul, a.cols[:n + 1], b.cols[n::-1])) & solve.mask
 
 
 def solve_skew_dyck_series(t_order: int, x_order: int) -> BiSeries:
@@ -347,14 +366,15 @@ def solve_skew_dyck_series(t_order: int, x_order: int) -> BiSeries:
     UDL-factors.  Column n comes from the cubic written as
     R = x^2 R + (1 - x - x^2 + t x^2) + x(2 - x) R^2 - x^2 R^3."""
     _check_orders(t_order, x_order)
-    T = t_order
-    const = [[1], [-1], _trim([-1, 1][:T + 1])]
+    solve = _Solve(t_order)
 
-    def column(n: int) -> list[int]:
-        return _combine((1, R[n - 2]), (1, const[n] if n < 3 else []),
-                        (2, R2[n - 1]), (-1, R2[n - 2]), (-1, R3[n - 2]))
+    def column(n: int) -> int:
+        # the constant 1 - x - x^2 + t x^2 adds at most 1 to a digit sum
+        value = solve.combine((1, R, n - 2), (2, R2, n - 1), (-1, R2, n - 2),
+                              (-1, R3, n - 2), extra=1)
+        return value + (1, -1, solve.t - 1)[n] if n < 3 else value
 
-    R = _Columns(T, column)
+    R = _Columns(solve, column)
     R2 = R.power(2)
     R3 = R.power(3)
     return R.to_biseries(x_order)
@@ -370,9 +390,9 @@ def skew_equation_residual(R: BiSeries) -> BiSeries:
             - one + x + x * x - t * x * x)
 
 
-def _tree_columns(k: int, T: int) -> _Columns:
+def _tree_columns(k: int, solve: _Solve) -> _Columns:
     """C_k = 1 + x C_k^k."""
-    C = _Columns(T, lambda n: C.power(k)[n - 1] if n else [1])
+    C = _Columns(solve, lambda n: C.power(k)[n - 1] if n else 1)
     return C
 
 
@@ -381,17 +401,17 @@ def tree_series(k: int, x_order: int, t_order: int = 0) -> BiSeries:
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_orders(t_order, x_order)
-    return _tree_columns(k, t_order).to_biseries(x_order)
+    return _tree_columns(k, _Solve(t_order)).to_biseries(x_order)
 
 
 def tree_equation_residual(C: BiSeries, k: int) -> BiSeries:
     return C - 1 - _x(C.t_order, C.x_order) * C ** k
 
 
-def _augmented_columns(k: int, T: int) -> tuple[_Columns, _Columns]:
+def _augmented_columns(k: int, solve: _Solve) -> tuple[_Columns, _Columns]:
     """G_k = 1 + x G_k^k D with D = G_k - 1 + t; returns (G_k, D)."""
-    D = _Columns(T, lambda n: G[n] if n else _times_t([1], T))
-    G = _Columns(T, lambda n: GkD[n - 1] if n else [1])
+    D = _Columns(solve, lambda n: G[n] if n else solve.t)
+    G = _Columns(solve, lambda n: GkD[n - 1] if n else 1)
     GkD = G.power(k) * D
     return G, D
 
@@ -402,7 +422,7 @@ def augmented_long_ascent_series(k: int, t_order: int, x_order: int) -> BiSeries
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_orders(t_order, x_order)
-    return _augmented_columns(k, t_order)[0].to_biseries(x_order)
+    return _augmented_columns(k, _Solve(t_order))[0].to_biseries(x_order)
 
 
 def augmented_long_ascent_residual(G: BiSeries, k: int) -> BiSeries:
@@ -415,9 +435,10 @@ def long_ascent_series(k: int, t_order: int, x_order: int) -> BiSeries:
     if k < 0:
         raise ValueError("k must be >= 0")
     _check_orders(t_order, x_order)
-    G, D = _augmented_columns(k + 1, t_order)
+    solve = _Solve(t_order)
+    G, D = _augmented_columns(k + 1, solve)
     GkD = G.power(k) * D
-    return _Columns(t_order, lambda n: GkD[n - 1]).to_biseries(x_order)
+    return _Columns(solve, lambda n: GkD[n - 1]).to_biseries(x_order)
 
 
 def long_ascent_residual(F: BiSeries, G: BiSeries, k: int) -> BiSeries:
@@ -435,13 +456,14 @@ def returns_series(k: int, t_order: int, x_order: int) -> BiSeries:
     if k < 0:
         raise ValueError("k must be >= 0")
     _check_orders(t_order, x_order)
-    T = t_order
-    C = _tree_columns(k + 2, T)
+    solve = _Solve(t_order)
+    C = _tree_columns(k + 2, solve)
 
-    def column(n: int) -> list[int]:
-        return _times_t(_combine((1, C.power(k)[n - 1]), (1, CH[n - 1])), T)
+    def column(n: int) -> int:
+        value = solve.combine((1, C.power(k), n - 1), (1, CH, n - 1))
+        return value << solve.width & solve.mask
 
-    H = _Columns(T, column)
+    H = _Columns(solve, column)
     CH = C.power(k + 1) * H
     return H.to_biseries(x_order)
 
@@ -450,4 +472,3 @@ def returns_residual(H: BiSeries, C: BiSeries, k: int) -> BiSeries:
     """H (1 - t x C^(k+1)) - t x C^k for the pair (H_k, C_(k+2))."""
     t, x = _t(H.t_order, H.x_order), _x(H.t_order, H.x_order)
     return H * (1 - t * x * C ** (k + 1)) - t * x * C ** k
-

@@ -631,6 +631,22 @@ def _skew_equation(ctx: _Ctx):
         yield f"t=1 column of R at x^{m}", total, SKEW_COUNTS[m], _skew(m)
 
 
+@_register("series", "skew-recurrence", lambda ctx: f"orders {ctx.orders}")
+def _skew_recurrence(ctx: _Ctx):
+    # the t = 1 sums a(n) of R are A002212, which satisfies
+    # (n+1) a(n) = 3(2n-1) a(n-1) - 5(n-2) a(n-2), a recurrence derived
+    # apart from the cubic the solver uses; column n of R has t-degree
+    # (n+1)//3, so its sum is whole while that is at most T
+    T, X = ctx.orders
+    R = series.solve_skew_dyck_series(T, X)
+    a = [sum(R.coefficient(j, m) for j in range(T + 1)) for m in range(X + 1)]
+    for n in range(2, X + 1):
+        if (n + 1) // 3 <= T:
+            yield (f"(n+1) a(n) vs 3(2n-1) a(n-1) - 5(n-2) a(n-2) at n={n}",
+                   (n + 1) * a[n], 3 * (2 * n - 1) * a[n - 1] - 5 * (n - 2) * a[n - 2],
+                   ("bfile", "--sequence", "skew-counts", "--count", n))
+
+
 @_register("series", "tree-equation",
            lambda ctx: f"arity<={ctx.max_k + 2}, x^<={ctx.orders[1]}")
 def _tree_equation(ctx: _Ctx):

@@ -1,8 +1,10 @@
 """Truncated bivariate series: arithmetic, the five equations, coefficients."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -68,6 +70,14 @@ def test_reciprocal_is_exact_over_the_integers():
     # 1/(2 - x) = 1/2 + x/4 + ... has no integer coefficients
     with pytest.raises(ArithmeticError):
         (BiSeries.constant(2, T, X) - x).reciprocal()
+
+
+@pytest.mark.parametrize("term", [(-1, 0, 5), (0, -1, 7), (-3, -2, 1)])
+def test_build_rejects_negative_exponents(term):
+    # an exponent indexes a row, so a negative one would wrap around to
+    # the far end of the window
+    with pytest.raises(ValueError, match=re.escape(f"term {term}")):
+        BiSeries.build(2, 2, [term])
 
 
 def test_build_rejects_non_integral_values():
@@ -198,9 +208,9 @@ def test_long_ascent_and_returns_series_deep():
                 assert H.coefficient(j, n) == count_box_by_returns(k, n, j)
 
 
-def _all_solves(T, X):
+def _all_solves(T, X, ks=3):
     out = [solve_skew_dyck_series(T, X)]
-    for k in range(3):
+    for k in range(ks):
         out += [tree_series(k + 2, X, T), augmented_long_ascent_series(k + 1, T, X),
                 long_ascent_series(k, T, X), returns_series(k, T, X)]
     return out
@@ -218,33 +228,72 @@ def test_packed_and_looped_products_agree(monkeypatch):
         assert _all_solves(T, X) == want
 
 
-@pytest.mark.parametrize("bits", [0, 40, 10**9])
-def test_packed_product_of_signed_columns(monkeypatch, bits):
-    # the signed columns run the coefficient loop from their first negative
-    # coefficient on; with no slack the width is exactly the bound, which
-    # the full columns of equal positive coefficients reach: every digit
-    # sums the most terms
-    monkeypatch.setattr(series, "_PACK_BITS", bits)
-    monkeypatch.setattr(series, "_PACK_SLACK", 0)
-    rng = random.Random(bits)
+def _naive_column(x, y, n, T):
+    """Column n of the product of the series whose columns x(i) and y(i)
+    give as coefficient lists, pair by pair."""
+    want = [0] * (T + 1)
+    for i in range(n + 1):
+        for j1, c in enumerate(x(i)):
+            for j2, d in enumerate(y(n - i)):
+                if j1 + j2 <= T:
+                    want[j1 + j2] += c * d
+    return series._trim(want)
+
+
+def _no_loop(a, b, n):
+    raise AssertionError(f"column {n} left the packed product")
+
+
+@pytest.mark.parametrize("seed", [0, 40, 10**9])
+def test_packed_product_of_signed_columns(monkeypatch, seed):
+    # signed columns, which no solve stores, go through the coefficient
+    # loop; it reads only the solve's T and the factors' digit lists
+    rng = random.Random(seed)
     T, X = 5, 12
     # coefficients of up to 3n bits in column n, some zero, some columns empty
     cols = [[series._trim([rng.randint(-8**n, 8**n) * rng.randint(0, 1)
                           for _ in range(rng.randint(0, T + 1))])
              for n in range(X + 1)] for _ in range(2)]
-    a = series._Columns(T, lambda n: cols[0][n])
-    b = series._Columns(T, lambda n: cols[1][n])
-    full = series._Columns(T, lambda n: [2**30 - 1] * (T + 1))
-    for x, y in ((a, b), (a, a), (full, full)):
-        got = x * y
+    solve = series._Solve(T)
+    a, b = (SimpleNamespace(solve=solve, digits=c.__getitem__) for c in cols)
+    for x, y in ((a, b), (a, a)):
         for n in range(X + 1):
-            want = [0] * (T + 1)
-            for i in range(n + 1):
-                for j1, c in enumerate(x[i]):
-                    for j2, d in enumerate(y[n - i]):
-                        if j1 + j2 <= T:
-                            want[j1 + j2] += c * d
-            assert got[n] == series._trim(want)
+            assert series._loop_product(x, y, n) == _naive_column(x.digits, y.digits, n, T)
+    # full columns of equal coefficients go through the packed product; with
+    # no slack the width is exactly what the bound needs, every digit sums
+    # the most terms the columns allow, and at t_order 0 the one digit is
+    # the bound itself
+    monkeypatch.setattr(series, "_PACK_SLACK", 0)
+    monkeypatch.setattr(series, "_loop_product", _no_loop)
+    for t_order in (T, 0):
+        full = series._Columns(series._Solve(t_order),
+                               lambda n: [2**30 - 1] * (t_order + 1))
+        square = full * full
+        for n in range(X + 1):
+            assert square.digits(n) == _naive_column(full.digits, full.digits, n, t_order)
+
+
+@pytest.mark.parametrize("T, X", [(0, 10), (1, 5), (6, 14), (7, 16), (13, 24), (10, 30)])
+def test_width_growth_repacks_every_column(monkeypatch, T, X):
+    # every solve starts at a 2-bit width; with 1 bit of slack its width
+    # grows many times mid-solve, often while a rule has forced some of
+    # its columns and not yet read them, and each growth repacks them all
+    bits = series._PACK_BITS
+    monkeypatch.setattr(series, "_PACK_BITS", 0)
+    want = _all_solves(T, X, ks=4)
+    monkeypatch.setattr(series, "_PACK_BITS", bits)
+    monkeypatch.setattr(series, "_PACK_SLACK", 1)
+    widths = []
+    resize = series._Solve._resize
+
+    def counted(solve, width):
+        widths.append(width)
+        resize(solve, width)
+
+    monkeypatch.setattr(series._Solve, "_resize", counted)
+    assert _all_solves(T, X, ks=4) == want
+    # one start a solve, and more than two growths a solve
+    assert len(widths) - len(want) > 2 * len(want)
 
 
 @pytest.mark.parametrize("T, X", [(6, 14), (7, 16), (13, 24)])

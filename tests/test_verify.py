@@ -37,7 +37,7 @@ FAILURE_SHAPE = re.compile(
 def test_full_suite_passes():
     report = run_suite("all", max_k=1, max_n=3)
     assert report.ok
-    assert len(report.checks) == 36
+    assert len(report.checks) == 37
     assert {c.suite for c in report.checks} == set(SUITES)
 
 
@@ -258,7 +258,7 @@ def test_every_replay_runs(capsys):
     # the size-1 0-box path is the empty word, a value of its own
     assert "boxpaths biject --k 0 --to trees ''" in replays
     commands = {shlex.split(replay)[1] for replay in replays}
-    assert commands == {"count", "enumerate", "biject", "verify"}
+    assert commands == {"count", "enumerate", "biject", "bfile", "verify"}
     for replay in sorted(replays):
         assert main(shlex.split(replay)[1:]) == 0, replay
         capsys.readouterr()
