@@ -214,6 +214,20 @@ def _fuss_terms(r):
     return values
 
 
+_box_counts = _fuss_terms(lambda k: k + 1)
+
+
+def _long_ascent_diagonal(k, count: int) -> list[int]:
+    """count_box_by_long_ascents(k, n, n) for n = 1, 2, ..., built in one
+    pass.  The cell is C(M - 1, n - 1)/n with M = (k+1)n - 1, and
+    C(M - 1, n - 1) = C(M, n - 1) kn/M, so for k >= 1 it is
+    k C(M, n - 1)/M = count_box(k - 1, n).  At k = 0 it is
+    C(n - 2, n - 1)/n = 0, and the (0, 1, 1) cell is 0 by convention."""
+    if k == 0:
+        return [0] * count
+    return _box_counts(k - 1, count)
+
+
 def _diagonal(cell):
     """The values function of cell(k, 1, 1), cell(k, 2, 2), ..."""
     return lambda k, count: [cell(k, i, i) for i in range(1, count + 1)]
@@ -235,14 +249,13 @@ def _triangle(cell):
 # each b-file sequence: its values for k and --count, and whether it takes
 # --k; the order is that of the --sequence choices
 _BFILE = {
-    "box-counts": (_fuss_terms(lambda k: k + 1), True),
+    "box-counts": (_box_counts, True),
     "tailed-counts": (_fuss_terms(lambda k: 1), True),
     "returns-triangle": (_triangle(counting.count_box_by_returns), True),
     "long-ascents-triangle": (
         _triangle(counting.count_box_by_long_ascents), True),
     "returns-diagonal": (_diagonal(counting.count_box_by_returns), True),
-    "long-ascents-diagonal": (
-        _diagonal(counting.count_box_by_long_ascents), True),
+    "long-ascents-diagonal": (_long_ascent_diagonal, True),
     "skew-counts": (lambda k, count: _skew_count_values(count), False),
 }
 BFILE_SEQUENCES = tuple(_BFILE)

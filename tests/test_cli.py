@@ -541,6 +541,23 @@ def bfile_text(values):
     return "".join(f"{i} {v}\n" for i, v in enumerate(values, 1))
 
 
+def test_bfile_long_ascent_diagonal_matches_the_cells(capsys):
+    # built in one pass as box counts one k lower; the cells stay the
+    # oracle, and at k = 0 every cell is 0
+    for k in range(4):
+        code, out, err = run(capsys, "bfile", "--sequence", "long-ascents-diagonal",
+                             "--k", str(k), "--count", "300")
+        want = [counting.count_box_by_long_ascents(k, n, n) for n in range(1, 301)]
+        assert (code, out, err) == (0, bfile_text(want), "")
+    # a bad --k is an error only when some term is asked for
+    for k in (-3, -1, 0, 2):
+        assert run(capsys, "bfile", "--sequence", "long-ascents-diagonal",
+                   "--k", str(k), "--count", "0") == (0, "", "")
+    for k in (-3, -1):
+        assert run(capsys, "bfile", "--sequence", "long-ascents-diagonal",
+                   "--k", str(k), "--count", "1") == (2, "", "error: k must be >= 0\n")
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_bfile_returns_diagonal_follows_enumeration(capsys, k):
     # the n-th value counts the size-n paths with n returns

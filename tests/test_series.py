@@ -259,10 +259,9 @@ def test_packed_product_of_signed_columns(monkeypatch, seed):
     for x, y in ((a, b), (a, a)):
         for n in range(X + 1):
             assert series._loop_product(x, y, n) == _naive_column(x.digits, y.digits, n, T)
-    # full columns of equal coefficients go through the packed product; with
-    # no slack the width is exactly what the bound needs, every digit sums
-    # the most terms the columns allow, and at t_order 0 the one digit is
-    # the bound itself
+    # full columns of equal coefficients go through the packed product;
+    # every digit sums the most terms the columns allow, and at t_order 0
+    # the one digit is the bound itself
     monkeypatch.setattr(series, "_PACK_SLACK", 0)
     monkeypatch.setattr(series, "_loop_product", _no_loop)
     for t_order in (T, 0):
@@ -271,13 +270,30 @@ def test_packed_product_of_signed_columns(monkeypatch, seed):
         square = full * full
         for n in range(X + 1):
             assert square.digits(n) == _naive_column(full.digits, full.digits, n, t_order)
+    # with no slack a width is the bound's bits rounded up to whole bytes:
+    # a column of (2^39 - 1)/7 widens the solve to 40 bits, and column 6
+    # of its product with a column of 2s, 7 products of 2 (2^39 - 1)/7,
+    # is the largest digit sum that width holds, 2^40 - 2
+    solve = series._Solve(0)
+    twos = series._Columns(solve, lambda n: [2])
+    big = series._Columns(solve, lambda n: [(2**39 - 1) // 7])
+    product = twos * big
+    assert product.digits(6) == [2**40 - 2]
+    assert solve.width == 40
+    for n in range(X + 1):
+        assert product.digits(n) == _naive_column(twos.digits, big.digits, n, 0)
 
 
-@pytest.mark.parametrize("T, X", [(0, 10), (1, 5), (6, 14), (7, 16), (13, 24), (10, 30)])
+# the width growths of the 17 solves of _all_solves(T, X, ks=4) at
+# _PACK_SLACK = 1, where each growth adds one byte
+GROWTHS = {(0, 10): 19, (1, 5): 5, (6, 14): 57, (7, 16): 67, (13, 24): 117, (10, 30): 146}
+
+
+@pytest.mark.parametrize("T, X", list(GROWTHS))
 def test_width_growth_repacks_every_column(monkeypatch, T, X):
-    # every solve starts at a 2-bit width; with 1 bit of slack its width
-    # grows many times mid-solve, often while a rule has forced some of
-    # its columns and not yet read them, and each growth repacks them all
+    # with 1 bit of slack every solve starts at 8 bits and its width grows,
+    # mostly a byte at a time, mid-solve, often while a rule has forced
+    # some of its columns and not yet read them; each growth repacks them all
     bits = series._PACK_BITS
     monkeypatch.setattr(series, "_PACK_BITS", 0)
     want = _all_solves(T, X, ks=4)
@@ -292,8 +308,55 @@ def test_width_growth_repacks_every_column(monkeypatch, T, X):
 
     monkeypatch.setattr(series._Solve, "_resize", counted)
     assert _all_solves(T, X, ks=4) == want
-    # one start a solve, and more than two growths a solve
-    assert len(widths) - len(want) > 2 * len(want)
+    # one start a solve, at 8 bits, and the growths of all 17 solves
+    assert widths.count(8) == len(want) == 17
+    assert len(widths) - len(want) == GROWTHS[T, X]
+
+
+def _repack_reference(cols, T, old, new):
+    """The columns' digits unpacked one by one and packed at the new width."""
+    mask = (1 << 8 * old) - 1
+    return [series._pack([c >> 8 * old * d & mask for d in range(T + 1)], 8 * new)
+            for c in cols]
+
+
+@pytest.mark.parametrize("T", [0, 1, 7, 13])
+def test_repack_moves_digit_bytes(T):
+    rng = random.Random(T)
+    for old in range(1, 17):
+        for new in (old, old + 1, rng.randint(old, 64), 64):
+            top = (1 << 8 * old) - 1
+            # random digits of every length, zero columns, digits of all
+            # 1 bits, and a column of them
+            cols = [sum(rng.randint(0, top) >> rng.randint(0, 8 * old) << 8 * old * d
+                        for d in range(T + 1)) for _ in range(5)]
+            cols += [0, top, top << 8 * old * T, (1 << 8 * old * (T + 1)) - 1, 0]
+            assert series._repack(cols, T, old, new) == _repack_reference(cols, T, old, new)
+            assert series._repack([], T, old, new) == []
+
+
+@pytest.mark.parametrize("pack_bits, first", [(4096, 40), (21, 24), (13, 16), (0, 8)])
+def test_solve_widths_are_whole_bytes(monkeypatch, pack_bits, first):
+    # a solve starts at the width that holds a digit sum of 1: 2 bits and
+    # the slack, at most _PACK_BITS, rounded up to whole bytes; past a
+    # _PACK_BITS below that start every growth at least doubles the width,
+    # and stays whole bytes too
+    monkeypatch.setattr(series, "_PACK_BITS", pack_bits)
+    steps = []
+    resize = series._Solve._resize
+
+    def counted(solve, width):
+        steps.append((solve.width, width))
+        resize(solve, width)
+
+    monkeypatch.setattr(series._Solve, "_resize", counted)
+    solves = _all_solves(13, 24)
+    assert [new for old, new in steps if not old] == [first] * len(solves)
+    assert all(new % 8 == 0 for _, new in steps)
+    growths = [(old, new) for old, new in steps if old]
+    assert growths
+    if pack_bits < first:
+        assert all(new >= 2 * old for old, new in growths)
 
 
 @pytest.mark.parametrize("T, X", [(6, 14), (7, 16), (13, 24)])
