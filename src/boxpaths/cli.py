@@ -26,7 +26,11 @@ import sys
 from itertools import islice
 from operator import attrgetter
 
-from . import bijections, counting, paths, series, trees, verify
+from . import bijections, counting, paths, series, trees
+
+# the --suite choices: "all" and verify.SUITES, written out so that
+# building the parser does not load the harness, which only verify runs
+_SUITE_CHOICES = ("all", "formulas", "bijections", "series")
 
 
 def _exact_output(cmd):
@@ -185,6 +189,8 @@ def cmd_biject(args) -> int:
 
 @_exact_output
 def cmd_verify(args) -> int:
+    from . import verify
+
     report = verify.run_suite(args.suite, args.max_k, args.max_n)
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))
@@ -195,9 +201,17 @@ def cmd_verify(args) -> int:
 
 
 def _skew_count_values(count: int) -> list[int]:
-    # a path of semilength m holds at most m//2 U D L-factors; the count
-    # of semilength m is the sum of column m over every t-row
-    R = series.solve_skew_dyck_series(count // 2 + 1, count)
+    """The skew Dyck counts of semilength 1..count: each is the sum of its
+    x-column of R(t, x) over every t-row, so R is solved at the t-order
+    of the most UDL-factors a path of semilength at most count holds.
+
+    That is (count + 1) // 3.  A factor U D L takes one of a path's m up
+    steps and two of its m down steps (D or L).  A skew Dyck path has no
+    LU, so a factor's L is followed by a D or an L, or ends the path; that
+    step is in no factor, since a factor's D follows its U and its L its
+    D.  So j factors take 2j down steps, and all but the last are followed
+    by j - 1 more: 3j - 1 <= m, and j <= (m + 1) // 3."""
+    R = series.solve_skew_dyck_series((count + 1) // 3, count)
     return list(map(sum, zip(*R.coeffs)))[1:count + 1]
 
 
@@ -324,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_biject)
 
     p = sub.add_parser("verify", help="run the cross-checking harness")
-    p.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
+    p.add_argument("--suite", choices=_SUITE_CHOICES, default="all")
     p.add_argument("--max-k", type=int, default=2)
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--format", choices=("text", "json"), default="text",

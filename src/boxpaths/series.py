@@ -23,7 +23,8 @@ Each column is stored once, as one int with coefficient j at bit j*w
 rule is an integer combination of ints, and column n of a product a sum of
 n + 1 big-int products.  Every series solved is a counting series, so no
 digit is negative, and each solve keeps its columns' digit sums below
-2^w - 1, so no digit reaches 2^w; the digits are read once, at the end.
+2^w - 1, so no digit reaches 2^w; the digits are read back once, at the
+end, in one pass over the columns.
 Every width is a whole number of bytes, so a growth moves each digit's
 bytes to the wider width with strided byte copies, and a solve starts at
 the width a growth to hold a digit sum of 1 would give.  Past _PACK_BITS
@@ -35,6 +36,7 @@ arithmetic is a separate code path on full truncated products; the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import mul
 
 
@@ -223,6 +225,13 @@ def _pack(poly: list[int], width: int) -> int:
     return value
 
 
+def _unpack(value: int, width: int, cap: int) -> list[int]:
+    """The base-2^width digits of a non-negative value, lowest first, with
+    no trailing zeros; cap is 2^width - 1.  The one digit reader: a shift
+    and a mask per digit, up to the value's bit length."""
+    return [value >> s & cap for s in range(0, value.bit_length(), width)]
+
+
 def _repack(cols: list[int], T: int, old: int, new: int) -> list[int]:
     """Columns of T + 1 digits of `old` bytes each, as digits of `new` bytes.
 
@@ -250,8 +259,9 @@ class _Solve:
     value at t = 1, below 2^w - 1.  So every digit is below 2^w: the int's
     base-2^w digits are the coefficients, and its residue mod 2^w - 1 is
     its digit sum.  Before a rule packs a column, it passes `fit` a bound
-    on that column's digit sum.  A bound that does not fit repacks every
-    column of the solve at a wider width: the bound's bits plus
+    on that column's digit sum, and calls `fit` only once the bound has
+    reached `cap`, since every other bound fits.  A bound that does not fit
+    repacks every column of the solve at a wider width: the bound's bits plus
     _PACK_SLACK, and past _PACK_BITS at least twice the old width, rounded
     up to whole bytes, so that a repack is a strided copy of digit bytes
     (`_repack`).  So a rule forces every column it reads before it reads
@@ -272,7 +282,10 @@ class _Solve:
         self.t = (1 << width) & self.mask  # t packed; 0 when T = 0
 
     def fit(self, bound: int) -> None:
-        """Widen the solve, if need be, to hold a digit sum of `bound`."""
+        """Widen the solve, if need be, to hold a digit sum of `bound`.
+        `combine` and `_product` test `bound >= cap` before they call it
+        (`_product` also once the width is past _PACK_BITS), so that a
+        bound that fits costs them no call."""
         if bound < self.cap:
             return
         need = (bound + 1).bit_length()
@@ -288,12 +301,17 @@ class _Solve:
     def combine(self, *terms: tuple, extra: int = 0) -> int:
         """The sum of c * series[m] over the (c, series, m) terms, which is a
         counting column: its digit sum is at most that of its positive
-        terms, plus `extra`."""
+        terms, plus `extra`.  A column below x^0 is 0.  Only a column that
+        is not yet held is forced, and every one is forced before any is
+        read; the terms are then read from the stored columns directly."""
         for _, s, m in terms:
-            s[m]  # force every column before reading any
-        self.fit(extra + sum(c * s.sums[m] for c, s, m in terms
-                             if c > 0 and m >= 0))
-        return sum(c * s[m] for c, s, m in terms)
+            if len(s.cols) <= m:
+                s[m]
+        bound = extra + sum(c * s.sums[m] for c, s, m in terms
+                            if c > 0 and m >= 0)
+        if bound >= self.cap:
+            self.fit(bound)
+        return sum(c * s.cols[m] for c, s, m in terms if m >= 0)
 
 
 class _Columns:
@@ -313,6 +331,10 @@ class _Columns:
         solve.series.append(self)
 
     def __getitem__(self, n: int) -> int:
+        """Column n, packed; 0 below x^0.  A column not yet held is computed,
+        with every one below it, and kept.  The solver's own loops test
+        `len(cols) <= n` and index `cols` directly, so that a held column
+        costs no call."""
         cols = self.cols
         if n < len(cols):
             return cols[n] if n >= 0 else 0
@@ -331,13 +353,12 @@ class _Columns:
         return cols[n]
 
     def digits(self, n: int) -> list[int]:
-        """Column n as a list of coefficients with no trailing zeros."""
+        """Column n as a list of coefficients with no trailing zeros, kept
+        once read; the coefficient loop reads its factors through it."""
         poly = self._digits.get(n)
         if poly is None:
             value, solve = self[n], self.solve
-            poly = self._digits[n] = [
-                value >> s & solve.cap
-                for s in range(0, value.bit_length(), solve.width)]
+            poly = self._digits[n] = _unpack(value, solve.width, solve.cap)
         return poly
 
     def __mul__(self, other: "_Columns") -> "_Columns":
@@ -354,10 +375,19 @@ class _Columns:
         return powers[e]
 
     def to_biseries(self, x_order: int) -> BiSeries:
-        T = self.solve.T
-        cols = [(self.digits(n) + [0] * (T + 1))[:T + 1]
-                for n in range(x_order + 1)]
-        return BiSeries(T, x_order, tuple(zip(*cols)))
+        """The series to x^x_order, its digits read back in one pass: each
+        column unpacked by `_unpack`, and the columns transposed into t-rows
+        by zip_longest, which pads a short column with zeros.  No column has
+        more than T + 1 digits; rows of zeros make up any t-rows above the
+        highest digit of every column."""
+        self[x_order]
+        solve = self.solve
+        width, cap = solve.width, solve.cap
+        rows = tuple(zip_longest(
+            *[_unpack(c, width, cap) for c in self.cols[:x_order + 1]],
+            fillvalue=0))
+        zeros = ((0,) * (x_order + 1),) * (solve.T + 1 - len(rows))
+        return BiSeries(solve.T, x_order, rows + zeros)
 
 
 def _loop_product(a: _Columns, b: _Columns, n: int) -> list[int]:
@@ -381,13 +411,22 @@ def _product(a: _Columns, b: _Columns, n: int):
     Every digit of the sum, above t^T too, is at most its digit sum, the
     sum of the n + 1 products of the factors' digit sums; once that fits
     the width, no digit carries.  Past _PACK_BITS bits the coefficient loop
-    multiplies the factors' digit lists instead."""
-    a[n], b[n]  # force both columns before reading any
+    multiplies the factors' digit lists instead.  A factor column is forced
+    only when it is not yet held, and both before either is read.  While
+    the width is at most _PACK_BITS, a bound below `cap` fits it, and
+    bound + 1 has at most _PACK_BITS bits; so only a bound that reaches
+    `cap`, or any bound once the width is past _PACK_BITS, needs the two
+    tests."""
+    if len(a.cols) <= n:
+        a[n]
+    if len(b.cols) <= n:
+        b[n]
     bound = sum(map(mul, a.sums[:n + 1], b.sums[n::-1]))
-    if (bound + 1).bit_length() > _PACK_BITS:
-        return _loop_product(a, b, n)
     solve = a.solve
-    solve.fit(bound)
+    if bound >= solve.cap or solve.width > _PACK_BITS:
+        if (bound + 1).bit_length() > _PACK_BITS:
+            return _loop_product(a, b, n)
+        solve.fit(bound)
     return sum(map(mul, a.cols[:n + 1], b.cols[n::-1])) & solve.mask
 
 

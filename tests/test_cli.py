@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import boxpaths
-from boxpaths import bijections, counting, paths
+from boxpaths import bijections, cli, counting, paths, verify
 from boxpaths.cli import main
 from boxpaths.paths import (
     PathWord,
@@ -489,6 +489,21 @@ def test_verify_bad_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_suite_choices_are_the_harness_suites():
+    # the parser lists the suites without loading the harness
+    assert cli._SUITE_CHOICES == ("all",) + verify.SUITES
+
+
+def test_only_verify_loads_the_harness():
+    code = ("import sys\n"
+            "from boxpaths import cli\n"
+            "assert cli.main(['count', '--k', '1', '--n', '1']) == 0\n"
+            "print('boxpaths.verify' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=fresh_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\nFalse\n", "")
 
 
 def test_bfile_box_counts(capsys):

@@ -186,6 +186,16 @@ def _skew_dp(t_order, x_order):
     return table
 
 
+def test_skew_series_column_degrees():
+    # a path of semilength n holds at most (n + 1) // 3 U D L-factors, and
+    # U^j (U D L)^j (D L)^(j-1) ... reaches it; bfile skew-counts solves at
+    # that t-order
+    R = solve_skew_dyck_series(30, 60)
+    for n in range(61):
+        degree = max(j for j in range(31) if R.coefficient(j, n))
+        assert degree == (n + 1) // 3, n
+
+
 def test_skew_series_matches_transfer_matrix_deep():
     T, X = 13, 40
     R = solve_skew_dyck_series(T, X)
@@ -282,6 +292,108 @@ def test_packed_product_of_signed_columns(monkeypatch, seed):
     assert solve.width == 40
     for n in range(X + 1):
         assert product.digits(n) == _naive_column(twos.digits, big.digits, n, 0)
+
+
+def _read_out_reference(cols, T, X, width):
+    """The t-rows of the first X + 1 packed columns, digit j of column n
+    shifted down by j * width and masked, one digit at a time."""
+    mask = (1 << width) - 1
+    return tuple(tuple(cols[n] >> j * width & mask for n in range(X + 1))
+                 for j in range(T + 1))
+
+
+def _random_columns(rng, T, count, top):
+    """count digit lists of up to T + 1 digits below `top`: zero columns,
+    columns whose top digits are 0, and full ones."""
+    out = []
+    for n in range(count):
+        size = (0, T + 1, rng.randint(1, T + 1))[n % 3]
+        out.append([rng.randint(0, top) * rng.randint(0, 1) for _ in range(size)])
+    return out
+
+
+@pytest.mark.parametrize("T, X", [(0, 0), (0, 9), (4, 0), (1, 6), (7, 16), (13, 5)])
+@pytest.mark.parametrize("width", [40, 72, 80])
+def test_read_out_matches_a_digit_reference(T, X, width):
+    rng = random.Random(1000 * T + X + width)
+    solve = series._Solve(T)
+    solve._resize(width)
+    # digit sums stay below 2^width - 1, so the width holds every column
+    polys = _random_columns(rng, T, X + 3, (1 << width) // (T + 2) - 1)
+    polys[-1] = [0] * T + [(1 << width) - 2]
+    s = series._Columns(solve, polys.__getitem__)
+    s[X + 2]  # columns past x_order are held but not read
+    got = s.to_biseries(X)
+    assert solve.width == width
+    assert got.coeffs == _read_out_reference(s.cols, T, X, width)
+    assert got.coeffs == tuple(zip(*[(p + [0] * (T + 1))[:T + 1] for p in polys[:X + 1]]))
+    # the one digit reader, which digits() shares, stops at the top nonzero digit
+    assert [series._unpack(c, width, solve.cap) for c in s.cols] == [
+        series._trim(p[:]) for p in polys]
+
+
+@pytest.mark.parametrize("T, X", [(0, 5), (3, 8), (6, 0)])
+def test_read_out_past_a_small_pack_bits(monkeypatch, T, X):
+    # past _PACK_BITS a growth at least doubles the width, which then ends
+    # up well past it, at whole bytes
+    monkeypatch.setattr(series, "_PACK_BITS", 13)
+    rng = random.Random(T + X)
+    solve = series._Solve(T)
+    assert solve.width == 16
+    polys = _random_columns(rng, T, X + 1, 2**20)
+    polys[0] = [2**40] + [0] * T
+    s = series._Columns(solve, polys.__getitem__)
+    got = s.to_biseries(X)
+    assert solve.width == 48
+    assert got.coeffs == _read_out_reference(s.cols, T, X, 48)
+    assert got.coeffs == tuple(zip(*[(p + [0] * (T + 1))[:T + 1] for p in polys]))
+
+
+def test_width_past_pack_bits_still_loops_a_wide_bound(monkeypatch):
+    # once a width is past _PACK_BITS, a product bound of more than
+    # _PACK_BITS bits still goes to the coefficient loop though it is
+    # below cap, and a narrower one is still packed
+    monkeypatch.setattr(series, "_PACK_BITS", 16)
+    calls = []
+    loop = series._loop_product
+
+    def counted(a, b, n):
+        calls.append(n)
+        return loop(a, b, n)
+
+    monkeypatch.setattr(series, "_loop_product", counted)
+    X = 6
+    solve = series._Solve(0)
+    assert solve.width == 16
+    series._Columns(solve, lambda n: [2**40])[0]
+    assert solve.width == 48
+    ones = series._Columns(solve, lambda n: [1])
+    small = ones * ones
+    assert [small.digits(n) for n in range(X + 1)] == [[n + 1] for n in range(X + 1)]
+    assert calls == []
+    wide = series._Columns(solve, lambda n: [2**10])
+    square = wide * wide
+    assert [square.digits(n) for n in range(X + 1)] == [[(n + 1) << 20] for n in range(X + 1)]
+    assert calls == list(range(X + 1))
+    assert solve.width == 48
+
+
+def test_a_digit_sum_of_cap_widens(monkeypatch):
+    # a width w does not hold a digit sum of 2^w - 1 itself, whose residue
+    # mod 2^w - 1 would read as 0, so a bound that equals cap widens
+    monkeypatch.setattr(series, "_PACK_SLACK", 0)
+    solve = series._Solve(0)
+    assert solve.width == 8
+    ones = series._Columns(solve, lambda n: [1])
+    product = ones * series._Columns(solve, lambda n: [51])
+    product[3]
+    assert (solve.width, product.sums) == (8, [51, 102, 153, 204])
+    product[4]
+    assert (solve.width, product.sums[4]) == (16, 255)
+    solve = series._Solve(0)
+    a, b = (series._Columns(solve, lambda n, c=c: [c]) for c in (100, 155))
+    assert solve.combine((1, a, 0), (1, b, 0)) == 255
+    assert solve.width == 16
 
 
 # the width growths of the 17 solves of _all_solves(T, X, ks=4) at
