@@ -27,8 +27,7 @@ digit is negative, and each solve keeps its columns' digit sums below
 end, in one pass over the columns.
 Every width is a whole number of bytes, so a growth moves each digit's
 bytes to the wider width with strided byte copies, and a solve starts at
-the width a growth to hold a digit sum of 1 would give.  Past _PACK_BITS
-bits a product multiplies coefficient by coefficient instead.  BiSeries
+the width a growth to hold a digit sum of 1 would give.  BiSeries
 arithmetic is a separate code path on full truncated products; the
 *_residual functions use it to check what the solvers return.
 """
@@ -194,35 +193,14 @@ def _x(T: int, X: int) -> BiSeries:
 # ------------------------------------------------------------ the solvers
 
 
-# A product multiplies packed columns while its digit bound needs at most
-# this many bits, and runs the coefficient loop past it; past it, too, a
-# width grows to at least twice itself, so that growths stay rare.  Timed
-# solves at orders up to (101, 200), and of C_5 to x^800 at t_order 0
-# (widths near 3000 bits), found the packed product the faster at every
-# width they reached, so the loop takes over only past them.
-_PACK_BITS = 4096
-# Bits added to the width a growth needs, so that growths are rare; the
-# sum is then rounded up to whole bytes.  Most growths come from a digit
-# sum one bit too wide, and 1 + 31 bits is 4 whole bytes, so such a growth
-# widens by 32 bits with nothing lost to rounding; a slack of 32 widens it
-# by 40, and made solve_skew_dyck_series(51, 100) about 1.5 % slower.  A
-# solve starts at the width that holds a digit sum of 1: 2 + 31 bits,
-# rounded up to 40.
+# Bits added to the width a growth needs, at every width, so that growths
+# are rare; the sum is then rounded up to whole bytes.  Most growths come
+# from a digit sum one bit too wide, and 1 + 31 bits is 4 whole bytes, so
+# such a growth widens by 32 bits with nothing lost to rounding; a slack of
+# 32 widens it by 40, and made solve_skew_dyck_series(51, 100) about 1.5 %
+# slower.  A solve starts at the width that holds a digit sum of 1:
+# 2 + 31 bits, rounded up to 40.
 _PACK_SLACK = 31
-
-
-def _trim(poly: list[int]) -> list[int]:
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _pack(poly: list[int], width: int) -> int:
-    """poly evaluated at t = 2^width."""
-    value = 0
-    for c in reversed(poly):
-        value = (value << width) + c
-    return value
 
 
 def _unpack(value: int, width: int, cap: int) -> list[int]:
@@ -262,12 +240,11 @@ class _Solve:
     on that column's digit sum, and calls `fit` only once the bound has
     reached `cap`, since every other bound fits.  A bound that does not fit
     repacks every column of the solve at a wider width: the bound's bits plus
-    _PACK_SLACK, and past _PACK_BITS at least twice the old width, rounded
-    up to whole bytes, so that a repack is a strided copy of digit bytes
-    (`_repack`).  So a rule forces every column it reads before it reads
-    any, and never combines a value packed at the old width.  A solve
-    starts at width 0 and grows, with no column yet, to hold the digit
-    sum 1 of its constant columns."""
+    _PACK_SLACK, rounded up to whole bytes, so that a repack is a strided
+    copy of digit bytes (`_repack`).  So a rule forces every column it
+    reads before it reads any, and never combines a value packed at the
+    old width.  A solve starts at width 0 and grows, with no column yet,
+    to hold the digit sum 1 of its constant columns."""
 
     def __init__(self, T: int):
         self.T = T
@@ -283,17 +260,11 @@ class _Solve:
 
     def fit(self, bound: int) -> None:
         """Widen the solve, if need be, to hold a digit sum of `bound`.
-        `combine` and `_product` test `bound >= cap` before they call it
-        (`_product` also once the width is past _PACK_BITS), so that a
-        bound that fits costs them no call."""
+        `combine` and `_product` test `bound >= cap` before they call it,
+        so that a bound that fits costs them no call."""
         if bound < self.cap:
             return
-        need = (bound + 1).bit_length()
-        if need <= _PACK_BITS:
-            width = min(_PACK_BITS, need + _PACK_SLACK)
-        else:
-            width = max(need, 2 * self.width)
-        width = -(-width // 8) * 8
+        width = -(-((bound + 1).bit_length() + _PACK_SLACK) // 8) * 8
         for s in self.series:
             s.cols[:] = _repack(s.cols, self.T, self.width // 8, width // 8)
         self._resize(width)
@@ -316,17 +287,16 @@ class _Solve:
 
 class _Columns:
     """A series in x held as its x-columns, packed at its solve's width, and
-    each column's digit sum.  `rule(n)` returns column n, packed, or as the
-    coefficient loop's digit list.  It may read only columns below n of this
-    series, and columns up to n of the series it is built from.  Each column
-    is computed on first use and kept, and so is its digit list once read."""
+    each column's digit sum.  `rule(n)` returns column n, packed.  It may
+    read only columns below n of this series, and columns up to n of the
+    series it is built from.  Each column is computed on first use and
+    kept."""
 
     def __init__(self, solve: _Solve, rule):
         self.solve = solve
         self._rule = rule
         self.cols: list[int] = []
         self.sums: list[int] = []
-        self._digits: dict[int, list[int]] = {}
         self._powers: list[_Columns] = []
         solve.series.append(self)
 
@@ -341,25 +311,9 @@ class _Columns:
         solve = self.solve
         while len(cols) <= n:
             value = self._rule(len(cols))
-            if value.__class__ is list:
-                total = sum(value)
-                solve.fit(total)
-                self._digits[len(cols)] = value
-                value = _pack(value, solve.width)
-            else:
-                total = value % solve.cap
-            self.sums.append(total)
+            self.sums.append(value % solve.cap)
             cols.append(value)
         return cols[n]
-
-    def digits(self, n: int) -> list[int]:
-        """Column n as a list of coefficients with no trailing zeros, kept
-        once read; the coefficient loop reads its factors through it."""
-        poly = self._digits.get(n)
-        if poly is None:
-            value, solve = self[n], self.solve
-            poly = self._digits[n] = _unpack(value, solve.width, solve.cap)
-        return poly
 
     def __mul__(self, other: "_Columns") -> "_Columns":
         """Online product: column n is the sum of a[i] b[n-i], i = 0..n."""
@@ -390,42 +344,21 @@ class _Columns:
         return BiSeries(solve.T, x_order, rows + zeros)
 
 
-def _loop_product(a: _Columns, b: _Columns, n: int) -> list[int]:
-    """Column n of a * b as a digit list, coefficient by coefficient."""
-    T = a.solve.T
-    out = [0] * (T + 1)
-    for i in range(n + 1):
-        q = b.digits(n - i)
-        if not q:
-            continue
-        for di, c in enumerate(a.digits(i)):
-            if c:
-                for dj, d in enumerate(q[:T + 1 - di], di):
-                    out[dj] += c * d
-    return _trim(out)
-
-
-def _product(a: _Columns, b: _Columns, n: int):
+def _product(a: _Columns, b: _Columns, n: int) -> int:
     """Column n of the online product a * b, by Kronecker substitution: the
     sum of the n + 1 int products a[i] b[n-i], masked to T + 1 digits.
     Every digit of the sum, above t^T too, is at most its digit sum, the
     sum of the n + 1 products of the factors' digit sums; once that fits
-    the width, no digit carries.  Past _PACK_BITS bits the coefficient loop
-    multiplies the factors' digit lists instead.  A factor column is forced
-    only when it is not yet held, and both before either is read.  While
-    the width is at most _PACK_BITS, a bound below `cap` fits it, and
-    bound + 1 has at most _PACK_BITS bits; so only a bound that reaches
-    `cap`, or any bound once the width is past _PACK_BITS, needs the two
-    tests."""
+    the width, no digit carries; a bound that reaches `cap` widens the
+    solve first.  A factor column is forced only when it is not yet held,
+    and both before either is read."""
     if len(a.cols) <= n:
         a[n]
     if len(b.cols) <= n:
         b[n]
     bound = sum(map(mul, a.sums[:n + 1], b.sums[n::-1]))
     solve = a.solve
-    if bound >= solve.cap or solve.width > _PACK_BITS:
-        if (bound + 1).bit_length() > _PACK_BITS:
-            return _loop_product(a, b, n)
+    if bound >= solve.cap:
         solve.fit(bound)
     return sum(map(mul, a.cols[:n + 1], b.cols[n::-1])) & solve.mask
 
@@ -506,7 +439,7 @@ def long_ascent_series(k: int, t_order: int, x_order: int) -> BiSeries:
     _check_orders(t_order, x_order)
     solve = _Solve(t_order)
     G, D = _augmented_columns(k + 1, solve)
-    GkD = G.power(k) * D
+    GkD = G.power(k) * D if k else D  # F_0 = x D
     return _Columns(solve, lambda n: GkD[n - 1]).to_biseries(x_order)
 
 

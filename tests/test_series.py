@@ -4,7 +4,6 @@ import random
 import re
 from fractions import Fraction
 from math import comb
-from types import SimpleNamespace
 
 import pytest
 
@@ -226,16 +225,45 @@ def _all_solves(T, X, ks=3):
     return out
 
 
-def test_packed_and_looped_products_agree(monkeypatch):
-    # 0 runs the coefficient loop on every column, 10**9 packs every column,
-    # and at 100 bits every solver's products switch from one to the other
-    # part way through (13, 40)
+def test_every_solve_has_a_zero_residual():
+    # each solver's columns, products and growths end in a series that its
+    # equation, in BiSeries arithmetic on full truncated products, holds to
+    # (13, 40); R, C_(k+2), G_(k+1), F_k and H_k come in that order
     T, X = 13, 40
-    monkeypatch.setattr(series, "_PACK_BITS", 0)
-    want = _all_solves(T, X)
-    for bits in (100, 10**9):
-        monkeypatch.setattr(series, "_PACK_BITS", bits)
-        assert _all_solves(T, X) == want
+    R, *rest = _all_solves(T, X)
+    assert skew_equation_residual(R).is_zero()
+    for k in range(3):
+        C, G, F, H = rest[4 * k:4 * k + 4]
+        assert tree_equation_residual(C, k + 2).is_zero()
+        assert augmented_long_ascent_residual(G, k + 1).is_zero()
+        assert long_ascent_residual(F, G, k).is_zero()
+        assert returns_residual(H, C, k).is_zero()
+
+
+def _trim(poly):
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _pack(poly, width):
+    """poly evaluated at t = 2^width."""
+    return sum(c << j * width for j, c in enumerate(poly))
+
+
+def _packed(solve, polys):
+    """A rule that widens the solve to hold the digit sum of polys[n] and
+    returns it packed at the solve's width, as the solvers' rules do."""
+    def rule(n):
+        solve.fit(sum(polys[n]))
+        return _pack(polys[n], solve.width)
+    return rule
+
+
+def _digits(s, n):
+    """Column n of s as its coefficient list, with no trailing zeros."""
+    value = s[n]
+    return series._unpack(value, s.solve.width, s.solve.cap)
 
 
 def _naive_column(x, y, n, T):
@@ -247,51 +275,69 @@ def _naive_column(x, y, n, T):
             for j2, d in enumerate(y(n - i)):
                 if j1 + j2 <= T:
                     want[j1 + j2] += c * d
-    return series._trim(want)
+    return _trim(want)
 
 
-def _no_loop(a, b, n):
-    raise AssertionError(f"column {n} left the packed product")
+def _check_products(solve, polys, T):
+    """Every column of a * b and of a * a, for the two series a and b whose
+    columns are the coefficient lists in polys, against the naive product."""
+    a, b = (series._Columns(solve, _packed(solve, p)) for p in polys)
+    for (x, y), (p, q) in (((a, b), polys), ((a, a), (polys[0], polys[0]))):
+        product = x * y
+        for n in range(len(p)):
+            assert _digits(product, n) == _naive_column(p.__getitem__, q.__getitem__, n, T)
 
 
 @pytest.mark.parametrize("seed", [0, 40, 10**9])
 def test_packed_product_of_signed_columns(monkeypatch, seed):
-    # signed columns, which no solve stores, go through the coefficient
-    # loop; it reads only the solve's T and the factors' digit lists
+    # a solve stores only counting columns, so the signed draws are folded
+    # to their absolute values: up to 3n bits in column n, some zero, some
+    # columns empty
     rng = random.Random(seed)
     T, X = 5, 12
-    # coefficients of up to 3n bits in column n, some zero, some columns empty
-    cols = [[series._trim([rng.randint(-8**n, 8**n) * rng.randint(0, 1)
-                          for _ in range(rng.randint(0, T + 1))])
+    cols = [[[abs(rng.randint(-8**n, 8**n)) * rng.randint(0, 1)
+              for _ in range(rng.randint(0, T + 1))]
              for n in range(X + 1)] for _ in range(2)]
-    solve = series._Solve(T)
-    a, b = (SimpleNamespace(solve=solve, digits=c.__getitem__) for c in cols)
-    for x, y in ((a, b), (a, a)):
-        for n in range(X + 1):
-            assert series._loop_product(x, y, n) == _naive_column(x.digits, y.digits, n, T)
-    # full columns of equal coefficients go through the packed product;
-    # every digit sums the most terms the columns allow, and at t_order 0
-    # the one digit is the bound itself
+    _check_products(series._Solve(T), cols, T)
+    # full columns of equal coefficients: every digit sums the most terms
+    # the columns allow, and at t_order 0 the one digit is the bound itself
     monkeypatch.setattr(series, "_PACK_SLACK", 0)
-    monkeypatch.setattr(series, "_loop_product", _no_loop)
     for t_order in (T, 0):
-        full = series._Columns(series._Solve(t_order),
-                               lambda n: [2**30 - 1] * (t_order + 1))
+        solve = series._Solve(t_order)
+        polys = [[2**30 - 1] * (t_order + 1)] * (X + 1)
+        full = series._Columns(solve, _packed(solve, polys))
         square = full * full
         for n in range(X + 1):
-            assert square.digits(n) == _naive_column(full.digits, full.digits, n, t_order)
+            assert _digits(square, n) == _naive_column(
+                polys.__getitem__, polys.__getitem__, n, t_order)
     # with no slack a width is the bound's bits rounded up to whole bytes:
     # a column of (2^39 - 1)/7 widens the solve to 40 bits, and column 6
     # of its product with a column of 2s, 7 products of 2 (2^39 - 1)/7,
     # is the largest digit sum that width holds, 2^40 - 2
     solve = series._Solve(0)
-    twos = series._Columns(solve, lambda n: [2])
-    big = series._Columns(solve, lambda n: [(2**39 - 1) // 7])
+    twos = series._Columns(solve, lambda n: 2)
+    big = series._Columns(solve, _packed(solve, [[(2**39 - 1) // 7]] * (X + 1)))
     product = twos * big
-    assert product.digits(6) == [2**40 - 2]
+    assert _digits(product, 6) == [2**40 - 2]
     assert solve.width == 40
     for n in range(X + 1):
-        assert product.digits(n) == _naive_column(twos.digits, big.digits, n, 0)
+        assert _digits(product, n) == _naive_column(
+            lambda i: [2], lambda i: [(2**39 - 1) // 7], n, 0)
+
+
+@pytest.mark.parametrize("t_order", [0, 3])
+def test_packed_product_past_4096_bits(t_order):
+    # column n holds digits of up to 600 n + 1 bits, so the digit bounds of
+    # the columns and of their products pass 4096 bits part way through;
+    # each growth adds the slack and repacks, and every product column
+    # stays packed and exact
+    rng = random.Random(t_order)
+    X = 9
+    polys = [[[rng.getrandbits(600 * n + 1) for _ in range(t_order + 1)]
+              for n in range(X + 1)] for _ in range(2)]
+    solve = series._Solve(t_order)
+    _check_products(solve, polys, t_order)
+    assert solve.width > 4096
 
 
 def _read_out_reference(cols, T, X, width):
@@ -321,61 +367,32 @@ def test_read_out_matches_a_digit_reference(T, X, width):
     # digit sums stay below 2^width - 1, so the width holds every column
     polys = _random_columns(rng, T, X + 3, (1 << width) // (T + 2) - 1)
     polys[-1] = [0] * T + [(1 << width) - 2]
-    s = series._Columns(solve, polys.__getitem__)
+    s = series._Columns(solve, _packed(solve, polys))
     s[X + 2]  # columns past x_order are held but not read
     got = s.to_biseries(X)
     assert solve.width == width
     assert got.coeffs == _read_out_reference(s.cols, T, X, width)
     assert got.coeffs == tuple(zip(*[(p + [0] * (T + 1))[:T + 1] for p in polys[:X + 1]]))
-    # the one digit reader, which digits() shares, stops at the top nonzero digit
+    # the one digit reader stops at the top nonzero digit
     assert [series._unpack(c, width, solve.cap) for c in s.cols] == [
-        series._trim(p[:]) for p in polys]
+        _trim(p[:]) for p in polys]
 
 
 @pytest.mark.parametrize("T, X", [(0, 5), (3, 8), (6, 0)])
 def test_read_out_past_a_small_pack_bits(monkeypatch, T, X):
-    # past _PACK_BITS a growth at least doubles the width, which then ends
-    # up well past it, at whole bytes
-    monkeypatch.setattr(series, "_PACK_BITS", 13)
+    # a solve packed at a small width grows to hold a column of 2^40 as its
+    # first column, and the table is read back at the grown width
+    monkeypatch.setattr(series, "_PACK_SLACK", 13)
     rng = random.Random(T + X)
     solve = series._Solve(T)
     assert solve.width == 16
     polys = _random_columns(rng, T, X + 1, 2**20)
     polys[0] = [2**40] + [0] * T
-    s = series._Columns(solve, polys.__getitem__)
+    s = series._Columns(solve, _packed(solve, polys))
     got = s.to_biseries(X)
-    assert solve.width == 48
-    assert got.coeffs == _read_out_reference(s.cols, T, X, 48)
+    assert solve.width == 56
+    assert got.coeffs == _read_out_reference(s.cols, T, X, 56)
     assert got.coeffs == tuple(zip(*[(p + [0] * (T + 1))[:T + 1] for p in polys]))
-
-
-def test_width_past_pack_bits_still_loops_a_wide_bound(monkeypatch):
-    # once a width is past _PACK_BITS, a product bound of more than
-    # _PACK_BITS bits still goes to the coefficient loop though it is
-    # below cap, and a narrower one is still packed
-    monkeypatch.setattr(series, "_PACK_BITS", 16)
-    calls = []
-    loop = series._loop_product
-
-    def counted(a, b, n):
-        calls.append(n)
-        return loop(a, b, n)
-
-    monkeypatch.setattr(series, "_loop_product", counted)
-    X = 6
-    solve = series._Solve(0)
-    assert solve.width == 16
-    series._Columns(solve, lambda n: [2**40])[0]
-    assert solve.width == 48
-    ones = series._Columns(solve, lambda n: [1])
-    small = ones * ones
-    assert [small.digits(n) for n in range(X + 1)] == [[n + 1] for n in range(X + 1)]
-    assert calls == []
-    wide = series._Columns(solve, lambda n: [2**10])
-    square = wide * wide
-    assert [square.digits(n) for n in range(X + 1)] == [[(n + 1) << 20] for n in range(X + 1)]
-    assert calls == list(range(X + 1))
-    assert solve.width == 48
 
 
 def test_a_digit_sum_of_cap_widens(monkeypatch):
@@ -384,14 +401,14 @@ def test_a_digit_sum_of_cap_widens(monkeypatch):
     monkeypatch.setattr(series, "_PACK_SLACK", 0)
     solve = series._Solve(0)
     assert solve.width == 8
-    ones = series._Columns(solve, lambda n: [1])
-    product = ones * series._Columns(solve, lambda n: [51])
+    ones = series._Columns(solve, lambda n: 1)
+    product = ones * series._Columns(solve, lambda n: 51)
     product[3]
     assert (solve.width, product.sums) == (8, [51, 102, 153, 204])
     product[4]
     assert (solve.width, product.sums[4]) == (16, 255)
     solve = series._Solve(0)
-    a, b = (series._Columns(solve, lambda n, c=c: [c]) for c in (100, 155))
+    a, b = (series._Columns(solve, lambda n, c=c: c) for c in (100, 155))
     assert solve.combine((1, a, 0), (1, b, 0)) == 255
     assert solve.width == 16
 
@@ -405,12 +422,9 @@ GROWTHS = {(0, 10): 19, (1, 5): 5, (6, 14): 57, (7, 16): 67, (13, 24): 117, (10,
 def test_width_growth_repacks_every_column(monkeypatch, T, X):
     # with 1 bit of slack every solve starts at 8 bits and its width grows,
     # mostly a byte at a time, mid-solve, often while a rule has forced
-    # some of its columns and not yet read them; each growth repacks them all
-    bits = series._PACK_BITS
-    monkeypatch.setattr(series, "_PACK_BITS", 0)
-    want = _all_solves(T, X, ks=4)
-    monkeypatch.setattr(series, "_PACK_BITS", bits)
-    monkeypatch.setattr(series, "_PACK_SLACK", 1)
+    # some of its columns and not yet read them; each growth repacks them
+    # all.  The reference solves start at 264 bits, past every width
+    # these orders need, and never grow.
     widths = []
     resize = series._Solve._resize
 
@@ -419,6 +433,11 @@ def test_width_growth_repacks_every_column(monkeypatch, T, X):
         resize(solve, width)
 
     monkeypatch.setattr(series._Solve, "_resize", counted)
+    monkeypatch.setattr(series, "_PACK_SLACK", 256)
+    want = _all_solves(T, X, ks=4)
+    assert widths == [264] * len(want)
+    widths.clear()
+    monkeypatch.setattr(series, "_PACK_SLACK", 1)
     assert _all_solves(T, X, ks=4) == want
     # one start a solve, at 8 bits, and the growths of all 17 solves
     assert widths.count(8) == len(want) == 17
@@ -428,7 +447,7 @@ def test_width_growth_repacks_every_column(monkeypatch, T, X):
 def _repack_reference(cols, T, old, new):
     """The columns' digits unpacked one by one and packed at the new width."""
     mask = (1 << 8 * old) - 1
-    return [series._pack([c >> 8 * old * d & mask for d in range(T + 1)], 8 * new)
+    return [_pack([c >> 8 * old * d & mask for d in range(T + 1)], 8 * new)
             for c in cols]
 
 
@@ -447,13 +466,13 @@ def test_repack_moves_digit_bytes(T):
             assert series._repack([], T, old, new) == []
 
 
-@pytest.mark.parametrize("pack_bits, first", [(4096, 40), (21, 24), (13, 16), (0, 8)])
-def test_solve_widths_are_whole_bytes(monkeypatch, pack_bits, first):
+@pytest.mark.parametrize("slack, first", [(31, 40), (21, 24), (13, 16), (0, 8)])
+def test_solve_widths_are_whole_bytes(monkeypatch, slack, first):
     # a solve starts at the width that holds a digit sum of 1: 2 bits and
-    # the slack, at most _PACK_BITS, rounded up to whole bytes; past a
-    # _PACK_BITS below that start every growth at least doubles the width,
-    # and stays whole bytes too
-    monkeypatch.setattr(series, "_PACK_BITS", pack_bits)
+    # the slack, rounded up to whole bytes.  A growth is the bits its bound
+    # needs, at least one more than the old width, plus the slack, rounded
+    # up to whole bytes too
+    monkeypatch.setattr(series, "_PACK_SLACK", slack)
     steps = []
     resize = series._Solve._resize
 
@@ -467,19 +486,25 @@ def test_solve_widths_are_whole_bytes(monkeypatch, pack_bits, first):
     assert all(new % 8 == 0 for _, new in steps)
     growths = [(old, new) for old, new in steps if old]
     assert growths
-    if pack_bits < first:
-        assert all(new >= 2 * old for old, new in growths)
+    step = -(-(1 + slack) // 8) * 8
+    assert all(new - old >= step for old, new in growths)
 
 
-@pytest.mark.parametrize("T, X", [(6, 14), (7, 16), (13, 24)])
-def test_solvers_pack_every_product_column(monkeypatch, T, X):
-    # every factor the solvers multiply is a counting series, so at the
-    # orders of verify and the benchmark no column leaves the packed read
-    def loop(a, b, n):
-        raise AssertionError(f"column {n} left the packed product")
-
-    monkeypatch.setattr(series, "_loop_product", loop)
-    _all_solves(T, X)
+def test_long_ascent_series_k0_is_x_times_d(monkeypatch):
+    # F_0 = x G_1^0 (G_1 - 1 + t) = x D, so the k = 0 solve reads D
+    # directly: its products are those of G_1 to one order less
+    T, X = 7, 16
+    F = long_ascent_series(0, T, X)
+    G = augmented_long_ascent_series(1, T, X)
+    assert F == x_series(T, X) * (G - 1 + BiSeries.build(T, X, [(1, 0, 1)]))
+    calls = []
+    product = series._product
+    monkeypatch.setattr(series, "_product", lambda a, b, n: calls.append(n) or product(a, b, n))
+    long_ascent_series(0, T, X)
+    alone = calls[:]
+    calls.clear()
+    augmented_long_ascent_series(1, T, X - 1)
+    assert alone == calls
 
 
 def test_tree_series_coefficients():
