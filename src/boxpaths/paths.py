@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
-from itertools import accumulate, chain, repeat
+from functools import cache, lru_cache, partial
+from itertools import accumulate, chain, repeat, starmap
 from operator import eq
 from typing import Iterator
 
@@ -518,28 +518,30 @@ def _trusted_word(word: str) -> PathWord:
 # word order; a state's first entry counts the moves left.  A family gives
 # only its moves: a dict whose moves[state] lists the (piece, next state)
 # pairs allowed next, in word order, found on first use, and whose
-# levels(i) lists the states i moves from the end.  A piece is text, and
-# so is every batch: each prefix one move above the table of completions
-# yields its words as one text, each followed by a newline.  At 4096
-# entries the skew table is the 8 steps deep that measured fastest through
-# semilength 11 (six make four times as many batches, ten or twelve a
-# table six or thirty times larger for little gain), the Dyck table 11,
-# and a box table 5 ascents deep at k = 1, 4 at k = 2, 1 from k = 51,
-# none past k = 4095.
+# levels(i) lists the states i moves from the end.  A piece is text.  The
+# walk yields each prefix one move above the table of completions with its
+# moves; the text generators join each such pair into one batch of text,
+# each word followed by a newline, and skew_dyck_parts reads it as heads
+# and their tails.  At 4096 entries the skew table is the 8 steps deep
+# that measured fastest through semilength 11 (six make four times as many
+# batches, ten or twelve a table six or thirty times larger for little
+# gain), the Dyck table 11, and a box table 5 ascents deep at k = 1, 4 at
+# k = 2, 1 from k = 51, none past k = 4095.
 _TAIL_BUDGET = 4096
 
 
 def _table(moves: dict, top: int | None = None) -> tuple[int, dict]:
-    """(depth, table): table[state] lists every completion of each state
-    at most depth moves from the end, in word order, the finished states'
-    one completion being empty.
+    """(depth, table): table[state] is a tuple of every completion of each
+    state at most depth moves from the end, in word order, the finished
+    states' one completion being empty.  The tuples are shared by every
+    walk over the table, so no caller can change them.
 
     Each level's entries are counted from the levels below before it is
     built, and the count stops once the table would hold more than
     _TAIL_BUDGET, so a level far over it lists few moves; the depth is the
     last level (at most top) that fits.
     """
-    table = dict.fromkeys(moves.levels(0), [""])
+    table = dict.fromkeys(moves.levels(0), ("",))
     depth = size = 0
     while top is None or depth < top:
         states = moves.levels(depth + 1)
@@ -549,7 +551,7 @@ def _table(moves: dict, top: int | None = None) -> tuple[int, dict]:
                 return depth, table
         depth += 1
         for state in states:
-            table[state] = _batch(table, moves[state])
+            table[state] = tuple(_batch(table, moves[state]))
     return depth, table
 
 
@@ -576,20 +578,23 @@ def _text_batch(table: dict, prefix: str, after: list) -> str:
     return "".join(text)
 
 
-def _walk(moves: dict, depth: int, table: dict, start) -> Iterator[str]:
-    """The completions of start, a (prefix, state) pair, in word order,
-    one _text_batch per prefix one move above the table."""
+def _walk(moves: dict, depth: int, start) -> Iterator[tuple[str, list]]:
+    """The completions of start, a (prefix, state) pair, as (prefix, after)
+    pairs in word order: each prefix one move above the table of depth
+    moves, with the (piece, state) moves after it, whose states the table
+    holds.  The completions of a pair are prefix + piece + each table
+    entry of the move's state, move by move."""
     prefix, state = start
     if state[0] <= depth:
         # only skew words of semilength at most depth / 2 start here: the
         # empty move leads to the table's own entry
-        yield _text_batch(table, prefix, [("", state)])
+        yield prefix, [("", state)]
         return
     stack = [start]
     while stack:
         prefix, state = stack.pop()
         if state[0] <= depth + 1:
-            yield _text_batch(table, prefix, moves[state])
+            yield prefix, moves[state]
             continue
         # pushed last move first, so the pops follow word order
         stack += [(prefix + piece, nxt)
@@ -640,20 +645,48 @@ def _skew_walk(allow_left: bool) -> tuple:
     return (moves, *_table(moves))
 
 
+def _skew_start(semilength: int) -> tuple:
+    """The skew walk's start at the given semilength."""
+    if semilength < 0:
+        raise ValueError("semilength must be >= 0")
+    # the empty start acts as a D, which forbids neither U nor L
+    return ("", (2 * semilength, semilength, "D"))
+
+
 def skew_dyck_text(semilength: int, allow_left: bool = True) -> Iterator[str]:
     """Yield the words of skew_dyck_words as chunks of text, each word
     followed by a newline; every chunk holds whole lines, and a word of
     semilength m is a line of 2m letters.
 
-    The chunks are the batches of the walk that k_box_text shares, over a
-    table of the last steps cached for each allow_left.  Argument errors
-    raise at the call, not at the first next().
+    Each chunk is one _text_batch of a pair of the walk that k_box_text
+    and skew_dyck_parts share, over a table of the last steps cached for
+    each allow_left.  Argument errors raise at the call, not at the first
+    next().
     """
-    if semilength < 0:
-        raise ValueError("semilength must be >= 0")
-    # the empty start acts as a D, which forbids neither U nor L
-    start = ("", (2 * semilength, semilength, "D"))
-    return _walk(*_skew_walk(allow_left), start)
+    start = _skew_start(semilength)
+    moves, depth, table = _skew_walk(allow_left)
+    return starmap(partial(_text_batch, table), _walk(moves, depth, start))
+
+
+def skew_dyck_parts(semilength: int, allow_left: bool = True
+                    ) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """Yield the words of skew_dyck_words as (head, tails) pairs, in word
+    order: the words are head + tail for each tail of tails, in order, and
+    every word is exactly one head and one tail.
+
+    A head is a prefix one move above the skew walk's table of the last
+    steps, with that move, or the empty word where the start is itself in
+    the table; tails is the table's entry for the state the head reaches,
+    never empty.  The table is 8 steps deep for skew words and 11 for Dyck
+    words, so a tail is at most that long, and its entries are tuples
+    shared by every head that reaches the same state and by every call.
+    Argument errors raise at the call, not at the first next().
+    """
+    start = _skew_start(semilength)
+    moves, depth, table = _skew_walk(allow_left)
+    return ((prefix + piece, tails)
+            for prefix, after in _walk(moves, depth, start)
+            for piece, nxt in after if (tails := table[nxt]))
 
 
 def skew_dyck_words(semilength: int, allow_left: bool = True) -> Iterator[str]:
@@ -705,10 +738,11 @@ def k_box_text(k: int, n: int, compositions: bool = False) -> Iterator[str]:
     a1,...,an; for k = 0 the Dyck words of semilength n - 1, or their
     virtual tuples of box_ascents.
 
-    The words of k = 0 are skew_dyck_text's; the rest are the batches of
-    the shared walk over the ascents, with a table built for the call and
-    kept by nothing else.  It is at most n - 2 ascents deep: level n - 1
-    would hold as many entries as the call has paths.  Argument errors
+    The words of k = 0 are skew_dyck_text's; every other chunk is one
+    _text_batch of a pair of the shared walk over the ascents, with a
+    table built for the call and kept by nothing else.  It is at most
+    n - 2 ascents deep: level n - 1 would hold as many entries as the call
+    has paths.  Argument errors
     raise at the call, not at the first next().
     """
     _check_box_args(k, n)
@@ -716,7 +750,9 @@ def k_box_text(k: int, n: int, compositions: bool = False) -> Iterator[str]:
         return skew_dyck_text(n - 1, allow_left=False)
     # the virtual 0-box tuples obey the same bounds with k = 0
     moves = _BoxMoves(k, n, compositions)
-    return _walk(moves, *_table(moves, n - 2), ("", (n, 0)))
+    depth, table = _table(moves, n - 2)
+    start = ("", (n, 0))
+    return starmap(partial(_text_batch, table), _walk(moves, depth, start))
 
 
 def _check_box_args(k: int, n: int) -> None:

@@ -297,7 +297,7 @@ class _Columns:
         self._rule = rule
         self.cols: list[int] = []
         self.sums: list[int] = []
-        self._powers: list[_Columns] = []
+        self._powers: dict[int, _Columns] = {}
         solve.series.append(self)
 
     def __getitem__(self, n: int) -> int:
@@ -320,12 +320,20 @@ class _Columns:
         return _Columns(self.solve, lambda n: _product(self, other, n))
 
     def power(self, e: int) -> "_Columns":
-        """self^e, each power the product of the one below and self."""
+        """self^e, from the powers already built: self^(e-1) times self when
+        e is odd or self^(e-1) is held, else the square of self^(e/2), so
+        C^4 = C^2 C^2 and C^5 = C^4 C take 3 products where a chain of
+        powers takes 4."""
         powers = self._powers
         if not powers:
-            powers += [_Columns(self.solve, lambda n: 0 if n else 1), self]
-        while len(powers) <= e:
-            powers.append(powers[-1] * self)
+            powers.update({0: _Columns(self.solve, lambda n: 0 if n else 1),
+                           1: self})
+        if e not in powers:
+            if e % 2 or e - 1 in powers:
+                powers[e] = self.power(e - 1) * self
+            else:
+                half = self.power(e // 2)
+                powers[e] = half * half
         return powers[e]
 
     def to_biseries(self, x_order: int) -> BiSeries:

@@ -403,34 +403,39 @@ def _family_minimality(ctx: _Ctx):
                (m, carriers), (m_box, {p.word for p in ctx.box(k, n)}), _skew(m))
 
 
-# the letters of a word, which _carriers deletes from its bytes to leave
-# its marks
-_LETTERS = b"UDL"
-
-
 def _carriers(m: int, factor: str, n: int) -> set[str]:
     """The skew words of semilength m with exactly n factors U D^k L,
-    found in each chunk of paths.skew_dyck_text at C speed.
+    counted over every word of paths.skew_dyck_parts.
 
-    Each chunk is scanned as ASCII bytes, where deleting letters costs
-    about a third of what it costs on str.  Each factor becomes U D^k X,
-    the same length, and every other letter is deleted, so a line with c
-    factors reads X^c; U D^k L cannot overlap itself, so c is the line's
-    factor count.  Every line is 2m letters and a newline, so a hit's line
-    index, counted in newlines, locates its word, sliced from the str
-    chunk.  One chunk is held at a time, bytes and str.
+    Each word is a head and a tail, and U D^k L cannot overlap itself, so
+    its count is head'.count(factor) + (s + tail).count(factor), where s
+    is the head's trailing U D^a with a <= k, or empty, and head' the head
+    without s: s is the only part of a factor that can cross the split.
+    A head's tails are one of the skew table's entries, shared by many
+    heads, so for each distinct tails and s the tails are bucketed once,
+    on first use, by that count; a head then adds the bucket of n less its
+    own count.  The buckets are built for the call and kept by nothing
+    else; each keeps its tails, so no id is reused while the call runs.
     """
-    target = factor.encode()
-    mark, hit, width = target[:-1] + b"X", b"\n" + b"X" * n + b"\n", 2 * m + 1
-    carriers = set()
-    for text in paths.skew_dyck_text(m):
-        marks = b"\n" + text.encode().replace(target, mark).translate(None, _LETTERS)
-        line = pos = 0
-        while (found := marks.find(hit, pos)) >= 0:
-            line += marks.count(b"\n", pos, found)
-            carriers.add(text[line * width:(line + 1) * width - 1])
-            # the hit's closing newline opens the next line
-            line, pos = line + 1, found + len(hit) - 1
+    k = len(factor) - 2
+    carriers, buckets = set(), {}
+    for head, tails in paths.skew_dyck_parts(m):
+        stem = head.rstrip("D")
+        if stem.endswith("U") and len(head) - len(stem) <= k:
+            rest, s = stem[:-1], head[len(stem) - 1:]
+        else:
+            rest, s = head, ""
+        need = n - rest.count(factor)
+        if need < 0:
+            continue
+        key = (id(tails), s)
+        if key not in buckets:
+            by_count = {}
+            for tail in tails:
+                by_count.setdefault((s + tail).count(factor), []).append(tail)
+            buckets[key] = tails, by_count
+        _, by_count = buckets[key]
+        carriers.update(map(head.__add__, by_count.get(need, ())))
     return carriers
 
 

@@ -57,6 +57,7 @@ from boxpaths.paths import (
     _skew_walk,
     _strip_augmented,
     _table,
+    skew_dyck_parts,
 )
 
 # skew Dyck path counts by semilength 0..11 (OEIS A002212)
@@ -867,6 +868,25 @@ def test_skew_dyck_text_is_the_per_word_stream_a_line_each():
         skew_dyck_text(-1)
 
 
+def test_skew_dyck_parts_join_to_the_text_lines():
+    # every word of skew_dyck_text is one head and one tail, in its order;
+    # up to half the table's depth the start is in the table, and its one
+    # pair has the empty head
+    for allow_left in (True, False):
+        depth = _skew_walk(allow_left)[1]
+        for m in range(11):
+            parts = list(skew_dyck_parts(m, allow_left))
+            lines = "".join(skew_dyck_text(m, allow_left)).splitlines()
+            assert [h + t for h, tails in parts for t in tails] == lines
+            assert all(type(tails) is tuple and tails for _, tails in parts)
+            if 2 * m <= depth:
+                assert [h for h, _ in parts] == [""]
+            else:
+                assert all(len(h) == 2 * m - depth for h, _ in parts)
+    with pytest.raises(ValueError):
+        skew_dyck_parts(-1)
+
+
 def test_generate_skew_dyck_semilength_two():
     assert [p.word for p in generate_skew_dyck(2)] == ["UUDD", "UUDL", "UDUD"]
 
@@ -998,8 +1018,9 @@ def test_skew_tables_hold_every_completion_within_the_budget():
         levels = {}
         for steps, ups, prev in table:
             levels.setdefault(steps, set()).add((ups, prev))
-            assert table[(steps, ups, prev)] == _reference_completions(
-                steps, ups, prev, allow_left)
+            # a tuple, so that no caller can change a shared entry
+            assert table[(steps, ups, prev)] == tuple(_reference_completions(
+                steps, ups, prev, allow_left))
         # every state up to the depth, and none deeper
         assert sorted(levels) == list(range(depth + 1))
         for steps, states in levels.items():

@@ -507,6 +507,29 @@ def test_long_ascent_series_k0_is_x_times_d(monkeypatch):
     assert alone == calls
 
 
+def test_powers_come_from_cached_halves(monkeypatch):
+    # C^e is built from powers already held: C^4 = C^2 C^2 and C^5 = C^4 C,
+    # so tree_series(k, 16, 7) makes 16 product columns for each of C^2;
+    # C^2, C^3; C^2, C^4; and C^2, C^4, C^5, where a chain of powers makes
+    # 16 (k - 1).  The series still solves its equation.
+    calls = []
+    product = series._product
+    monkeypatch.setattr(series, "_product", lambda a, b, n: calls.append(n) or product(a, b, n))
+    made = {}
+    for k in (2, 3, 4, 5):
+        calls.clear()
+        C = tree_series(k, 16, 7)
+        made[k] = len(calls)
+        assert tree_equation_residual(C, k).is_zero()
+    assert made == {2: 16, 3: 32, 4: 32, 5: 48}
+    # every power, in any order of first use, is the BiSeries power
+    T, X = 2, 9
+    C = series._tree_columns(2, series._Solve(T))
+    want = tree_series(2, X, T)
+    for e in (6, 0, 9, 1, 4, 7, 12, 3):
+        assert C.power(e).to_biseries(X) == want ** e, e
+
+
 def test_tree_series_coefficients():
     for arity in (2, 3, 4):
         C = tree_series(arity, 10)

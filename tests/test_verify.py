@@ -115,16 +115,16 @@ def test_injected_count_fault_reaches_bijection_suite(monkeypatch):
 def test_injected_generator_fault_reaches_family_minimality(monkeypatch):
     # the check must enumerate through the module attribute: drop the skew
     # paths of semilength 7 with two UDDL factors (the 2-box paths of size 2)
-    real = paths.skew_dyck_text
+    real = paths.skew_dyck_parts
 
     def dropping(semilength, allow_left=True):
-        chunks = real(semilength, allow_left)
+        parts = real(semilength, allow_left)
         if semilength != 7:
-            return chunks
-        return ("".join(w + "\n" for w in text.split("\n")[:-1]
-                        if w.count("UDDL") != 2) for text in chunks)
+            return parts
+        return ((head, tuple(t for t in tails if (head + t).count("UDDL") != 2))
+                for head, tails in parts)
 
-    monkeypatch.setattr(paths, "skew_dyck_text", dropping)
+    monkeypatch.setattr(paths, "skew_dyck_parts", dropping)
     report = run_suite("bijections", 2, 2)
     bad = [c for c in report.checks if not c.passed]
     assert [c.name for c in bad] == ["family-minimality"]
@@ -154,22 +154,22 @@ def test_injected_dyck_fault_reaches_dyck_convention(monkeypatch):
 def test_family_minimality_scans_every_skew_word(monkeypatch):
     # the brute force stays exhaustive: for each k in {1, 2} and n <= 3 it
     # reads every skew word of every semilength 1..(k+2)n - 1 (OEIS A002212),
-    # one line of text each, in _carriers, the check's scan
+    # one head and tail each, in _carriers, the check's scan
     a002212 = [1, 1, 3, 10, 36, 137, 543, 2219, 9285, 39587, 171369, 751236]
-    real = paths.skew_dyck_text
+    real = paths.skew_dyck_parts
     read = Counter()
 
     def counted(semilength, allow_left=True):
         caller = sys._getframe(1).f_code.co_name
 
-        def reading(chunks):
-            for text in chunks:
-                read[caller] += text.count("\n")
-                yield text
+        def reading(parts):
+            for head, tails in parts:
+                read[caller] += len(tails)
+                yield head, tails
 
         return reading(real(semilength, allow_left))
 
-    monkeypatch.setattr(paths, "skew_dyck_text", counted)
+    monkeypatch.setattr(paths, "skew_dyck_parts", counted)
     assert run_suite("bijections", 2, 3).ok
     want = sum(a002212[m] for k in (1, 2) for n in (1, 2, 3)
                for m in range(1, (k + 2) * n))
@@ -194,11 +194,43 @@ def test_carriers_scan_matches_the_per_word_count():
     assert edges == {"first", "last"}
 
 
+def test_some_carrier_has_its_factor_across_the_split():
+    # a factor U D^k L can start in a head and end in its tail, from the
+    # semilengths where heads are not empty; _carriers counts it from the
+    # head's trailing U D^a, and must find those carriers with the rest
+    for k, n, m in ((1, 1, 6), (2, 2, 7), (3, 2, 9)):
+        factor = "U" + "D" * k + "L"
+        crossing = set()
+        for head, tails in paths.skew_dyck_parts(m):
+            for tail in tails:
+                word = head + tail
+                starts = [i for i in range(len(word)) if word.startswith(factor, i)]
+                if len(starts) == n and any(i < len(head) < i + len(factor)
+                                            for i in starts):
+                    crossing.add(word)
+        assert crossing
+        assert crossing <= verify._carriers(m, factor, n)
+
+
+def test_carriers_keep_every_tails_they_bucket(monkeypatch):
+    # _carriers buckets a head's tails by their id; a producer that yields
+    # a fresh tuple for each head frees it, and a later tuple may take its
+    # id, so each bucket holds its tails for the call
+    cases = list(product((1, 2), (1, 2), (7, 8)))
+    want = [verify._carriers(m, "U" + "D" * k + "L", n) for k, n, m in cases]
+    real = paths.skew_dyck_parts
+    monkeypatch.setattr(paths, "skew_dyck_parts", lambda m, allow_left=True: (
+        (head, tuple(list(tails))) for head, tails in real(m, allow_left)))
+    assert [verify._carriers(m, "U" + "D" * k + "L", n) for k, n, m in cases] == want
+
+
 def test_carriers_hold_one_chunk_at_a_time():
-    # semilength 10 is 3.4 MB of text; the scan holds one chunk of it, as
-    # str and as bytes, at a time (about 37 KB at its peak), so a scan that
-    # joined a semilength's chunks would fail here.  The first call builds
-    # the skew walk's cached table, which is not the scan's.
+    # semilength 10 is 3.4 MB of text; the scan holds no word of it but
+    # its carriers: it reads heads and the skew table's shared tails, and
+    # keeps for the call only its buckets of those tails (about 38 KB at
+    # its peak), so a scan that built a semilength's words would fail
+    # here.  The first call builds the skew walk's cached table, which is
+    # not the scan's.
     verify._carriers(10, "UDDL", 3)
     tracemalloc.start()
     try:
