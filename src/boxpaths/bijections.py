@@ -18,21 +18,24 @@ from .paths import (
     _augment,
     _augmented_blocks,
     _box_word,
+    _fields_state,
     _trusted_word,
-    _unchecked,
     box_ascents,
     classify,
     path_of_composition,  # noqa: F401  (no map here calls it; the bench tracer wraps it)
 )
 from .trees import (
-    KDyckPath,
     KtDyckPath,
     TreeTuple,
+    _kdyck,
+    _kt_dyck,
+    _tree_tuple,
     kdyck_to_tree,
     tree_to_kdyck,  # noqa: F401  (no map here calls it; the bench tracer wraps it)
 )
 
 
+@_fields_state
 @dataclass(frozen=True)
 class BoxDecomposition:
     """Parts (mu_1, ..., mu_(k+1)) with p = mu_1 U mu_2 U ... mu_(k+1) U D^k L.
@@ -43,13 +46,14 @@ class BoxDecomposition:
     word that is not itself skew (it contains UL factors).
 
     A decomposition that decompose_box made (k >= 1) also keeps the
-    ascents of the path it accepted, in an instance entry that is not a
-    field, and compose_box trusts them instead of checking the parts
-    again.  Equality, hashing, repr, asdict and replace see k and parts
-    alone; so do copy and pickle, whose copies are checked in full, as
-    is every decomposition the constructor builds.
+    ascents of the path it accepted, in a slot that is not a field, and
+    compose_box trusts them instead of checking the parts again.
+    Equality, hashing, repr, asdict and replace see k and parts alone; so
+    do copy and pickle, whose copies are checked in full, as is every
+    decomposition the constructor builds.
     """
 
+    __slots__ = ("k", "parts", "_path_ascents")
     k: int
     parts: tuple[PathWord, ...]
 
@@ -64,12 +68,21 @@ class BoxDecomposition:
                 raise TypeError(
                     f"part {i} is a {type(part).__name__}, not a PathWord")
 
-    def __getstate__(self) -> dict:
-        # the fields alone: a copy's parts are checked again
-        return {"k": self.k, "parts": self.parts}
+
+def _kept_decomposition(k: int, parts: tuple[PathWord, ...],
+                        ascents: tuple[int, ...]) -> BoxDecomposition:
+    """BoxDecomposition(k, parts), unchecked, keeping the ascents of the
+    k-box path that decompose_box accepted and cut into these parts.  The
+    one writer of the kept slot, so its setter is named here alone."""
+    dec = object.__new__(BoxDecomposition)
+    BoxDecomposition.k.__set__(dec, k)
+    BoxDecomposition.parts.__set__(dec, parts)
+    BoxDecomposition._path_ascents.__set__(dec, ascents)
+    return dec
 
 
-@dataclass(frozen=True)
+@_fields_state
+@dataclass(frozen=True, slots=True)
 class ThresholdSequence:
     """Strictly increasing s_1 < ... < s_m with k*i <= s_i <= k*m + slack."""
 
@@ -100,6 +113,22 @@ class ThresholdSequence:
         return ",".join(str(s) for s in self.entries)
 
 
+_threshold_k, _threshold_slack, _threshold_entries = (
+    ThresholdSequence.k.__set__, ThresholdSequence.slack.__set__,
+    ThresholdSequence.entries.__set__)
+
+
+def _threshold(k: int, slack: int, entries: tuple[int, ...]
+               ) -> ThresholdSequence:
+    """ThresholdSequence(k, slack, entries) without its check (a builder
+    like paths._stats)."""
+    seq = object.__new__(ThresholdSequence)
+    _threshold_k(seq, k)
+    _threshold_slack(seq, slack)
+    _threshold_entries(seq, entries)
+    return seq
+
+
 @dataclass(frozen=True)
 class NotInvertible:
     """Typed outcome for the partial inverse of the return injection."""
@@ -119,9 +148,7 @@ def decompose_box(path: PathWord, k: int) -> BoxDecomposition:
         return BoxDecomposition(0, (_trusted_word(_augment(path.word, 1)),))
     # block i of the word is U^(a_i) D^k L D
     parts = _level_parts(path.word, ascents, k, k + 2)
-    return _unchecked(BoxDecomposition, k=k,
-                      parts=tuple(map(_trusted_word, parts)),
-                      _path_ascents=ascents)
+    return _kept_decomposition(k, tuple(map(_trusted_word, parts)), ascents)
 
 
 def _level_parts(word: str, ascents: tuple[int, ...], k: int,
@@ -192,9 +219,8 @@ def box_to_tree_tuple(path: PathWord, k: int) -> TreeTuple:
     ascents = box_ascents(path, k)
     # block i of the prefix is U^(a_i - 1) D
     parts = _level_parts(_prefix_of_box(path.word, k), ascents, k, 0)
-    return TreeTuple(tuple(
-        kdyck_to_tree(_unchecked(KDyckPath, k=k + 1, word=word))
-        for word in parts))
+    return _tree_tuple(tuple([kdyck_to_tree(_kdyck(k + 1, word))
+                              for word in parts]))
 
 
 def tree_tuple_to_box(tup: TreeTuple, k: int) -> PathWord:
@@ -242,8 +268,7 @@ def box_to_kt_dyck(path: PathWord, k: int) -> KtDyckPath:
     shifts the leading k up-steps away; for k = 0 this is the identity on
     the underlying Dyck word.
     """
-    return _unchecked(KtDyckPath, k=k + 1, t=k,
-                      word=box_to_dyck_prefix(path, k)[k:])
+    return _kt_dyck(k + 1, k, box_to_dyck_prefix(path, k)[k:])
 
 
 def kt_dyck_to_box(path: KtDyckPath) -> PathWord:
@@ -257,7 +282,7 @@ def kt_dyck_to_box(path: KtDyckPath) -> PathWord:
 def box_to_threshold(path: PathWord, k: int) -> ThresholdSequence:
     """Prefix sums s_i = a_1 + ... + a_i, i < n, as a (k+2, k)-threshold sequence."""
     sums = tuple(accumulate(box_ascents(path, k)[:-1]))
-    return _unchecked(ThresholdSequence, k=k + 2, slack=k, entries=sums)
+    return _threshold(k + 2, k, sums)
 
 
 def threshold_to_box(seq: ThresholdSequence) -> PathWord:

@@ -19,7 +19,7 @@ shape above with virtual ascents b_i + 1, ..., 1).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, lru_cache, partial
 from itertools import accumulate, chain, repeat, starmap
 from operator import eq
@@ -87,7 +87,34 @@ def parse_path(text: str) -> PathWord:
     return PathWord(text.strip())
 
 
-@dataclass(frozen=True)
+def _fields_state(cls):
+    """cls, a frozen dataclass with slots, copied and pickled as the dict of
+    its field values.
+
+    That dict is the state older pickles hold, from when the maps' value
+    classes kept their fields in an instance dict, so they load; a field
+    missing there, as trees.KDyckPath's t could be, takes its default.  A
+    slot that is no field is not copied.  Set after @dataclass, which on
+    Python 3.10 replaces a class's own __getstate__ and __setstate__ with
+    a pair that takes a list.
+    """
+    names = [f.name for f in fields(cls)]
+    defaults = {f.name: f.default for f in fields(cls)
+                if f.default is not MISSING}
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in names}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in {**defaults, **state}.items():
+            object.__setattr__(self, name, value)
+
+    cls.__getstate__, cls.__setstate__ = __getstate__, __setstate__
+    return cls
+
+
+@_fields_state
+@dataclass(frozen=True, slots=True)
 class PathStats:
     """One-pass statistics of a valid skew Dyck path."""
 
@@ -102,6 +129,31 @@ class PathStats:
         if k < 0:
             raise ValueError("k must be >= 0")
         return self._word.count("U" + "D" * k + "L")
+
+
+_stats_semilength, _stats_returns, _stats_ascents, _stats_long, _stats_word = (
+    PathStats.semilength.__set__, PathStats.returns.__set__,
+    PathStats.ascents.__set__, PathStats.long_ascents.__set__,
+    PathStats._word.__set__)
+
+
+def _stats(semilength: int, returns: int, ascents: int, long_ascents: int,
+           word: str) -> PathStats:
+    """PathStats(semilength, returns, ascents, long_ascents, _word=word),
+    built without a keyword dict: object.__new__ and one slot setter per
+    field.
+
+    Each map's value class has a builder like this one, which the map
+    calls on what it derives from an input it has checked already; every
+    other caller goes through the constructor.
+    """
+    st = object.__new__(PathStats)
+    _stats_semilength(st, semilength)
+    _stats_returns(st, returns)
+    _stats_ascents(st, ascents)
+    _stats_long(st, long_ascents)
+    _stats_word(st, word)
+    return st
 
 
 @dataclass(frozen=True)
@@ -290,15 +342,13 @@ def stats(path: PathWord) -> PathStats:
     if parts is not None:
         semilength = len(word) // 2
         n = len(parts)
-        return _unchecked(PathStats, semilength=semilength,
-                          returns=_returns(parts, (semilength + 1) // n),
-                          ascents=n, long_ascents=n - parts.count(1),
-                          _word=word)
+        return _stats(semilength, _returns(parts, (semilength + 1) // n),
+                      n, n - parts.count(1), word)
     returns = _skew_returns(word)
     if isinstance(returns, str):
         raise InvalidPathError(f"not a skew Dyck path: {returns}")
-    return PathStats(word.count("U"), returns, word.count("UD"),
-                     word.count("UUD"), _word=word)
+    return _stats(word.count("U"), returns, word.count("UD"),
+                  word.count("UUD"), word)
 
 
 @dataclass(frozen=True)
@@ -481,25 +531,6 @@ def _returns(parts: tuple[int, ...], step: int) -> int:
     for i < n, and the last block returns."""
     n = len(parts)
     return 1 + sum(map(eq, accumulate(parts), range(step, step * n, step)))
-
-
-def _unchecked(cls, **values):
-    """An instance of the frozen dataclass cls with these field values,
-    built without its constructor's checks.  Pass every field that has no
-    class default; one that has keeps it, as with the constructor
-    (trees.KDyckPath's t = 0).  A name that is no field becomes an
-    instance entry that equality, hashing and repr do not see, as
-    bijections.decompose_box keeps the ascents of the path it cut.
-
-    Only for values the package derives from an input it has checked
-    already, such as a map's image of a checked path or tree; every other
-    caller goes through the constructor.
-    """
-    obj = object.__new__(cls)
-    # the fields live in the instance dict, which the frozen __setattr__
-    # does not guard; one update fills them all
-    obj.__dict__.update(values)
-    return obj
 
 
 def _trusted_word(word: str) -> PathWord:

@@ -24,8 +24,8 @@ from .paths import (
     InvalidPathError,
     PathWord,
     _augment,
+    _fields_state,
     _strip_augmented,
-    _unchecked,
 )
 
 
@@ -40,7 +40,8 @@ class TreeNode:
     children: tuple["TreeNode | None", ...]
 
 
-@dataclass(frozen=True)
+@_fields_state
+@dataclass(frozen=True, slots=True)
 class KAryTree:
     """A k-ary tree: every node has exactly `arity` ordered child slots.
 
@@ -78,6 +79,18 @@ class KAryTree:
         return format_tree(self)
 
 
+_tree_arity, _tree_word = KAryTree.arity.__set__, KAryTree.word.__set__
+
+
+def _tree(arity: int, word: str) -> KAryTree:
+    """KAryTree(arity, word) without its check, for a word the caller
+    derived from a checked input (a builder like paths._stats)."""
+    tree = object.__new__(KAryTree)
+    _tree_arity(tree, arity)
+    _tree_word(tree, word)
+    return tree
+
+
 def _nodes_of_word(word: str, arity: int) -> TreeNode | None:
     """The nodes of the arity-`arity` tree whose slot-letter word is word.
 
@@ -107,7 +120,8 @@ def _nodes_of_word(word: str, arity: int) -> TreeNode | None:
     return done
 
 
-@dataclass(frozen=True)
+@_fields_state
+@dataclass(frozen=True, slots=True)
 class TreeTuple:
     """An ordered tuple of trees of one arity (a forest with named slots)."""
 
@@ -119,6 +133,16 @@ class TreeTuple:
 
     def __str__(self) -> str:
         return ",".join(format_tree(t) for t in self.trees)
+
+
+_tuple_trees = TreeTuple.trees.__set__
+
+
+def _tree_tuple(trees: tuple[KAryTree, ...]) -> TreeTuple:
+    """TreeTuple(trees), built by its one slot setter."""
+    tup = object.__new__(TreeTuple)
+    _tuple_trees(tup, trees)
+    return tup
 
 
 def format_tree(tree: KAryTree) -> str:
@@ -221,7 +245,7 @@ def parse_tree(text: str, arity: int) -> KAryTree:
         raise ValueError("arity must be >= 1")
     if wrong is not None:
         raise ValueError(f"node has {wrong[1]} child slots, expected {arity}")
-    return _unchecked(KAryTree, arity=arity, word="".join(out))
+    return _tree(arity, "".join(out))
 
 
 def generate_trees(arity: int, n: int) -> Iterator[KAryTree]:
@@ -244,7 +268,7 @@ def _trees(arity: int, n: int) -> Iterator[KAryTree]:
     for m in range(1, n):
         words.append(list(_words_of_size(m, letters, words)))
     for word in _words_of_size(n, letters, words) if n else words[0]:
-        yield _unchecked(KAryTree, arity=arity, word=word)
+        yield _tree(arity, word)
 
 
 def _words_of_size(m: int, letters: str, words: list[list[str]]) -> Iterator[str]:
@@ -262,7 +286,8 @@ def _words_of_size(m: int, letters: str, words: list[list[str]]) -> Iterator[str
             yield "".join(map(add, letters, subtrees))
 
 
-@dataclass(frozen=True)
+@_fields_state
+@dataclass(frozen=True, slots=True)
 class KtDyckPath:
     """Word over {U, D} with D = (k,-k), allowed down to y = -t, ending at 0."""
 
@@ -305,7 +330,8 @@ class KtDyckPath:
         return self.word
 
 
-@dataclass(frozen=True)
+@_fields_state
+@dataclass(frozen=True, slots=True)
 class KDyckPath(KtDyckPath):
     """A k-Dyck path: the t = 0 case, staying >= 0 and ending at 0."""
 
@@ -313,6 +339,33 @@ class KDyckPath(KtDyckPath):
 
     def _names(self) -> tuple[str, str]:
         return f"{self.k}-Dyck path", "the x-axis"
+
+
+# each class's own setters: on Python 3.10, KDyckPath declares the slots of
+# KtDyckPath again, and its instances read its own
+_kt_k, _kt_t, _kt_word = (KtDyckPath.k.__set__, KtDyckPath.t.__set__,
+                          KtDyckPath.word.__set__)
+_kdyck_k, _kdyck_t, _kdyck_word = (KDyckPath.k.__set__, KDyckPath.t.__set__,
+                                   KDyckPath.word.__set__)
+
+
+def _kt_dyck(k: int, t: int, word: str) -> KtDyckPath:
+    """KtDyckPath(k, t, word) without its check (a builder like
+    paths._stats)."""
+    path = object.__new__(KtDyckPath)
+    _kt_k(path, k)
+    _kt_t(path, t)
+    _kt_word(path, word)
+    return path
+
+
+def _kdyck(k: int, word: str) -> KDyckPath:
+    """KDyckPath(k, word), with its t = 0, without its check."""
+    path = object.__new__(KDyckPath)
+    _kdyck_k(path, k)
+    _kdyck_t(path, 0)
+    _kdyck_word(path, word)
+    return path
 
 
 def tree_to_kdyck(tree: KAryTree) -> KDyckPath:
@@ -325,7 +378,7 @@ def tree_to_kdyck(tree: KAryTree) -> KDyckPath:
     """
     if tree.arity < 2:
         raise ValueError("tree-to-path map needs arity >= 2")
-    return _unchecked(KDyckPath, k=tree.arity - 1, word=tree.word)
+    return _kdyck(tree.arity - 1, tree.word)
 
 
 def kdyck_to_tree(path: KDyckPath) -> KAryTree:
@@ -340,7 +393,7 @@ def kdyck_to_tree(path: KDyckPath) -> KAryTree:
             KDyckPath(path.k, path.word)
         except InvalidPathError:
             raise InvalidPathError("malformed k-Dyck path") from None
-    return _unchecked(KAryTree, arity=path.k + 1, word=path.word)
+    return _tree(path.k + 1, path.word)
 
 
 def kdyck_to_augmented(path: KDyckPath) -> PathWord:
@@ -354,4 +407,4 @@ def augmented_to_kdyck(path: PathWord, k: int) -> KDyckPath:
     """Read an augmented k-Dyck word (k >= 2) back as a k-Dyck path."""
     if k < 2:
         raise ValueError("augmented form needs k >= 2")
-    return _unchecked(KDyckPath, k=k, word=_strip_augmented(path.word, k))
+    return _kdyck(k, _strip_augmented(path.word, k))

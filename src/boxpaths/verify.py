@@ -393,17 +393,19 @@ def _family_minimality(ctx: _Ctx):
     # below semilength (k+2)n - 1 no skew path carries n U D^k L-factors,
     # and at it the carriers are exactly the k-box paths
     top_k, top_n = min(2, ctx.max_k), min(3, ctx.max_n)
+    buckets = {k: {} for k in range(1, top_k + 1)}  # one per factor
     for k, n in product(range(1, top_k + 1), range(1, top_n + 1)):
         factor, m_box = "U" + "D" * k + "L", (k + 2) * n - 1
         for m in range(1, m_box + 1):
-            carriers = _carriers(m, factor, n)
+            carriers = _carriers(m, factor, n, buckets[k])
             if carriers:
                 break
         yield (f"lowest semilength with {n} {factor}-factors, its carriers",
                (m, carriers), (m_box, {p.word for p in ctx.box(k, n)}), _skew(m))
 
 
-def _carriers(m: int, factor: str, n: int) -> set[str]:
+def _carriers(m: int, factor: str, n: int, buckets: dict | None = None
+              ) -> set[str]:
     """The skew words of semilength m with exactly n factors U D^k L,
     counted over every word of paths.skew_dyck_parts.
 
@@ -414,11 +416,15 @@ def _carriers(m: int, factor: str, n: int) -> set[str]:
     A head's tails are one of the skew table's entries, shared by many
     heads, so for each distinct tails and s the tails are bucketed once,
     on first use, by that count; a head then adds the bucket of n less its
-    own count.  The buckets are built for the call and kept by nothing
-    else; each keeps its tails, so no id is reused while the call runs.
+    own count.  A bucket depends on the tails and s alone, so a caller may
+    pass one buckets dict to every call with the same factor, whatever m
+    and n; else the call builds its own.  Each bucket keeps its tails, so
+    no id is reused while the dict lives.
     """
     k = len(factor) - 2
-    carriers, buckets = set(), {}
+    carriers = set()
+    if buckets is None:
+        buckets = {}
     for head, tails in paths.skew_dyck_parts(m):
         stem = head.rstrip("D")
         if stem.endswith("U") and len(head) - len(stem) <= k:

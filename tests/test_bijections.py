@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -42,8 +43,14 @@ from boxpaths import (
     threshold_to_box,
     tree_tuple_to_box,
 )
-from boxpaths import TreeTuple, generate_trees, kdyck_to_tree, tree_to_kdyck
-from boxpaths import bijections
+from boxpaths import (
+    PathStats,
+    TreeTuple,
+    generate_trees,
+    kdyck_to_tree,
+    tree_to_kdyck,
+)
+from boxpaths import bijections, paths, trees
 from boxpaths.paths import (
     _augment,
     _augmented_blocks,
@@ -354,13 +361,13 @@ def test_compose_box_accepts_only_the_decompositions_of_box_paths(k):
 
 
 def test_a_kept_decomposition_copies_as_a_constructor_built_one():
-    # the ascents decompose_box keeps are an instance entry no field
-    # names: only vars() shows them, and copies are built without them
+    # the ascents decompose_box keeps are in a slot no field names: only
+    # the slots show them, and copies are built without them
     for k, parts in ((1, (3, 3, 2)), (2, (5, 3, 4, 3))):
         path = path_of_composition(Composition(k, parts))
         dec = decompose_box(path, k)
         built = BoxDecomposition(k, dec.parts)
-        assert vars(dec) == {**vars(built), "_path_ascents": parts}
+        assert slot_values(dec) == {**slot_values(built), "_path_ascents": parts}
         assert dec == built and hash(dec) == hash(built)
         assert repr(dec) == repr(built)
         assert dataclasses.asdict(dec) == dataclasses.asdict(built)
@@ -368,7 +375,7 @@ def test_a_kept_decomposition_copies_as_a_constructor_built_one():
         for copied in (copy.copy(dec), copy.deepcopy(dec),
                        pickle.loads(pickle.dumps(dec)),
                        dataclasses.replace(dec)):
-            assert vars(copied) == vars(built)
+            assert slot_values(copied) == slot_values(built)
             assert copied == dec and compose_box(copied) == path
 
 
@@ -678,11 +685,22 @@ def random_path(k, n, rng):
         Composition(k, tuple(len(run) + 1 for run in prefix.split("D"))))
 
 
+def slot_values(value):
+    """Every slot of value's class and of its bases, by name, with what it
+    holds; a slot that holds nothing, as a kept slot before it is written,
+    is left out.  The value classes have no instance dict, so this is
+    what tests compare in place of vars()."""
+    return {name: getattr(value, name)
+            for cls in type(value).__mro__
+            for name in vars(cls).get("__slots__", ())
+            if hasattr(value, name)}
+
+
 def assert_same_value(built, checked):
-    """built equals the value its constructor checked, field for field."""
+    """built equals the value its constructor checked, slot for slot."""
     assert type(built) is type(checked)
     assert built == checked and hash(built) == hash(checked)
-    assert vars(built) == vars(checked)
+    assert slot_values(built) == slot_values(checked)
 
 
 def test_maps_match_their_checked_references():
@@ -692,7 +710,7 @@ def test_maps_match_their_checked_references():
         large = [random_path(k, 10**4, rng)] + shaped_paths(k, 10**4)
         for p in small + large:
             tup = box_to_tree_tuple(p, k)
-            assert tup == ref_box_to_tree_tuple(p, k), (p.word[:40], k)
+            assert_same_value(tup, ref_box_to_tree_tuple(p, k))
             assert tree_tuple_to_box(tup, k) == ref_tree_tuple_to_box(tup, k) == p
             q = box_to_kt_dyck(p, k)
             assert_same_value(q, ref_box_to_kt_dyck(p, k))
@@ -750,3 +768,84 @@ def test_every_checked_image_maps_to_a_box_path():
                 p = tree_tuple_to_box(tup, k)
                 assert len(box_ascents(p, k)) == n
                 assert box_to_tree_tuple(p, k) == tup
+
+
+# one value of each class the maps build, from its checked constructor
+CHECKED_VALUES = [
+    KAryTree(2, "UUDD"),
+    TreeTuple((KAryTree(3, "UUDUUD"), KAryTree(3, ""))),
+    KtDyckPath(2, 1, "UDUUDU"),
+    KDyckPath(1, "UUDD"),
+    ThresholdSequence(3, 1, (3, 6)),
+    BoxDecomposition(1, (PathWord("UUUDLDUUUDLD"), PathWord(""))),
+    PathStats(8, 3, 3, 3, _word=EXAMPLE.word),
+]
+
+
+def test_builders_give_the_constructors_values_with_no_instance_dict():
+    # each map builds its value by object.__new__ and one slot setter per
+    # field; the value must equal the constructor's in every slot (t too),
+    # and neither has an instance dict or takes a weak reference
+    tree, tup, kt, kd, seq, dec, st = CHECKED_VALUES
+    built = [
+        trees._tree(2, "UUDD"),
+        trees._tree_tuple(tup.trees),
+        trees._kt_dyck(2, 1, "UDUUDU"),
+        trees._kdyck(1, "UUDD"),
+        bijections._threshold(3, 1, (3, 6)),
+        bijections._kept_decomposition(1, dec.parts, (3, 3, 2)),
+        paths._stats(8, 3, 3, 3, EXAMPLE.word),
+    ]
+    assert [type(b) for b in built] == [type(c) for c in CHECKED_VALUES]
+    for value, checked in zip(built, CHECKED_VALUES):
+        assert value == checked and hash(value) == hash(checked)
+        assert repr(value) == repr(checked)
+        fields = {f.name for f in dataclasses.fields(checked)}
+        assert set(slot_values(checked)) == fields
+        kept = ({"_path_ascents": (3, 3, 2)}
+                if type(value) is BoxDecomposition else {})
+        assert slot_values(value) == {**slot_values(checked), **kept}
+        for v in (value, checked):
+            assert not hasattr(v, "__dict__")
+            with pytest.raises(TypeError):
+                vars(v)
+            with pytest.raises(TypeError):
+                weakref.ref(v)
+    assert built[3].t == kd.t == 0
+    assert compose_box(built[5]) == EXAMPLE
+
+
+def test_values_copy_and_pickle_at_every_protocol():
+    for value in CHECKED_VALUES:
+        for copied in (copy.copy(value), copy.deepcopy(value), *(
+                pickle.loads(pickle.dumps(value, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+            assert_same_value(copied, value)
+
+
+# pickles of a map-built value of each class, at protocol 2 and 4, written
+# when the classes kept their fields in an instance dict: the KDyckPath
+# holds no t, which its class then held, and the decomposition none of the
+# ascents decompose_box kept
+OLD_PICKLES = [
+    (b'\x80\x02cboxpaths.trees\nKAryTree\nq\x00)\x81q\x01}q\x02(X\x05\x00\x00\x00arityq\x03K\x02X\x04\x00\x00\x00wordq\x04X\x04\x00\x00\x00UUDDq\x05ub.',
+     b'\x80\x04\x95?\x00\x00\x00\x00\x00\x00\x00\x8c\x0eboxpaths.trees\x94\x8c\x08KAryTree\x94\x93\x94)\x81\x94}\x94(\x8c\x05arity\x94K\x02\x8c\x04word\x94\x8c\x04UUDD\x94ub.'),
+    (b'\x80\x02cboxpaths.trees\nTreeTuple\nq\x00)\x81q\x01}q\x02X\x05\x00\x00\x00treesq\x03cboxpaths.trees\nKAryTree\nq\x04)\x81q\x05}q\x06(X\x05\x00\x00\x00arityq\x07K\x03X\x04\x00\x00\x00wordq\x08X\x06\x00\x00\x00UUDUUDq\tubh\x04)\x81q\n}q\x0b(h\x07K\x03h\x08X\x00\x00\x00\x00q\x0cub\x86q\rsb.',
+     b'\x80\x04\x95u\x00\x00\x00\x00\x00\x00\x00\x8c\x0eboxpaths.trees\x94\x8c\tTreeTuple\x94\x93\x94)\x81\x94}\x94\x8c\x05trees\x94h\x00\x8c\x08KAryTree\x94\x93\x94)\x81\x94}\x94(\x8c\x05arity\x94K\x03\x8c\x04word\x94\x8c\x06UUDUUD\x94ubh\x07)\x81\x94}\x94(h\nK\x03h\x0b\x8c\x00\x94ub\x86\x94sb.'),
+    (b'\x80\x02cboxpaths.trees\nKtDyckPath\nq\x00)\x81q\x01}q\x02(X\x01\x00\x00\x00kq\x03K\x02X\x01\x00\x00\x00tq\x04K\x01X\x04\x00\x00\x00wordq\x05X\x06\x00\x00\x00UDUUDUq\x06ub.',
+     b'\x80\x04\x95E\x00\x00\x00\x00\x00\x00\x00\x8c\x0eboxpaths.trees\x94\x8c\nKtDyckPath\x94\x93\x94)\x81\x94}\x94(\x8c\x01k\x94K\x02\x8c\x01t\x94K\x01\x8c\x04word\x94\x8c\x06UDUUDU\x94ub.'),
+    (b'\x80\x02cboxpaths.trees\nKDyckPath\nq\x00)\x81q\x01}q\x02(X\x01\x00\x00\x00kq\x03K\x01X\x04\x00\x00\x00wordq\x04X\x04\x00\x00\x00UUDDq\x05ub.',
+     b'\x80\x04\x95<\x00\x00\x00\x00\x00\x00\x00\x8c\x0eboxpaths.trees\x94\x8c\tKDyckPath\x94\x93\x94)\x81\x94}\x94(\x8c\x01k\x94K\x01\x8c\x04word\x94\x8c\x04UUDD\x94ub.'),
+    (b'\x80\x02cboxpaths.bijections\nThresholdSequence\nq\x00)\x81q\x01}q\x02(X\x01\x00\x00\x00kq\x03K\x03X\x05\x00\x00\x00slackq\x04K\x01X\x07\x00\x00\x00entriesq\x05K\x03K\x06\x86q\x06ub.',
+     b'\x80\x04\x95U\x00\x00\x00\x00\x00\x00\x00\x8c\x13boxpaths.bijections\x94\x8c\x11ThresholdSequence\x94\x93\x94)\x81\x94}\x94(\x8c\x01k\x94K\x03\x8c\x05slack\x94K\x01\x8c\x07entries\x94K\x03K\x06\x86\x94ub.'),
+    (b'\x80\x02cboxpaths.bijections\nBoxDecomposition\nq\x00)\x81q\x01}q\x02(X\x01\x00\x00\x00kq\x03K\x01X\x05\x00\x00\x00partsq\x04cboxpaths.paths\nPathWord\nq\x05)\x81q\x06]q\x07X\x0c\x00\x00\x00UUUDLDUUUDLDq\x08abh\x05)\x81q\t]q\nX\x00\x00\x00\x00q\x0bab\x86q\x0cub.',
+     b'\x80\x04\x95\x84\x00\x00\x00\x00\x00\x00\x00\x8c\x13boxpaths.bijections\x94\x8c\x10BoxDecomposition\x94\x93\x94)\x81\x94}\x94(\x8c\x01k\x94K\x01\x8c\x05parts\x94\x8c\x0eboxpaths.paths\x94\x8c\x08PathWord\x94\x93\x94)\x81\x94]\x94\x8c\x0cUUUDLDUUUDLD\x94abh\t)\x81\x94]\x94\x8c\x00\x94ab\x86\x94ub.'),
+    (b'\x80\x02cboxpaths.paths\nPathStats\nq\x00)\x81q\x01}q\x02(X\n\x00\x00\x00semilengthq\x03K\x08X\x07\x00\x00\x00returnsq\x04K\x03X\x07\x00\x00\x00ascentsq\x05K\x03X\x0c\x00\x00\x00long_ascentsq\x06K\x03X\x05\x00\x00\x00_wordq\x07X\x10\x00\x00\x00UUUDLDUUUDLDUUDLq\x08ub.',
+     b'\x80\x04\x95{\x00\x00\x00\x00\x00\x00\x00\x8c\x0eboxpaths.paths\x94\x8c\tPathStats\x94\x93\x94)\x81\x94}\x94(\x8c\nsemilength\x94K\x08\x8c\x07returns\x94K\x03\x8c\x07ascents\x94K\x03\x8c\x0clong_ascents\x94K\x03\x8c\x05_word\x94\x8c\x10UUUDLDUUUDLDUUDL\x94ub.'),
+]
+
+
+def test_pickles_from_before_slots_load_as_equal_values():
+    for want, pickled in zip(CHECKED_VALUES, OLD_PICKLES, strict=True):
+        for data in pickled:
+            assert_same_value(pickle.loads(data), want)

@@ -697,41 +697,74 @@ def test_a_path_with_kept_ascents_is_still_its_word():
 _SLOT = {"_ascents", "_set_ascents"}
 
 
+def _use(node, names):
+    """How node names one of names, if it does: as an attribute (the slot's
+    descriptor, whose setter writes it), as a name or an import (a bound
+    setter, or a builder that writes the slot), as a string (as getattr
+    and __slots__ take it), or as a keyword."""
+    if isinstance(node, ast.Attribute) and node.attr in names:
+        return "attribute"
+    if isinstance(node, ast.Name) and node.id in names:
+        return "name"
+    if isinstance(node, ast.alias) and names & {node.name, node.asname}:
+        return "name"
+    if isinstance(node, ast.Constant) and node.value in names:
+        return "string"
+    if isinstance(node, ast.keyword) and node.arg in names:
+        return "keyword"
+    return None
+
+
 def _slot_uses(tree, names=_SLOT):
-    """How tree names the kept-ascents slot, or another of names: as an
-    attribute (the slot's descriptor, which writes it), as a name or an
-    import, as a string (as getattr and __slots__ take it), or as a
-    keyword (as _unchecked takes an instance entry)."""
-    uses = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in names:
-            uses.add("attribute")
-        elif isinstance(node, ast.Name) and node.id in names:
-            uses.add("name")
-        elif isinstance(node, ast.alias) and names & {node.name, node.asname}:
-            uses.add("name")
-        elif isinstance(node, ast.Constant) and node.value in names:
-            uses.add("string")
-        elif isinstance(node, ast.keyword) and node.arg in names:
-            uses.add("keyword")
-    return uses
+    """How tree, anywhere in it, names the kept-ascents slot or another of
+    names (see _use)."""
+    return {use for node in ast.walk(tree)
+            if (use := _use(node, names)) is not None}
+
+
+def _scope_uses(module, names=_SLOT):
+    """_slot_uses of each scope of module that names one of names: each
+    class and function (its decorators and defaults too) by its name, and
+    the module's own statements as "<module>", each without the classes
+    and functions inside it (scopes of one name share an entry).  So a
+    setter bound at module level or in a class body is seen where it is
+    bound."""
+    found = {}
+
+    def visit(scope, key):
+        uses, todo = set(), list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                visit(node, node.name)
+                continue
+            if (use := _use(node, names)) is not None:
+                uses.add(use)
+            todo += ast.iter_child_nodes(node)
+        if uses:
+            found[key] = found.get(key, set()) | uses
+
+    visit(module, "<module>")
+    return found
 
 
 def test_only_the_gate_writes_the_kept_ascents():
     # paths._accept keeps ascents only once they meet the bounds, and every
     # reader trusts them; so no other module may name the slot, and within
-    # paths the gate is its one writer and stats its one other reader
+    # paths PathWord declares it, the gate is its one writer and stats its
+    # one other reader; no builder or bound setter writes it
     source = Path(__file__).resolve().parent.parent / "src" / "boxpaths"
     modules = {f.name: ast.parse(f.read_text())
                for f in sorted(source.glob("*.py"))}
     assert len(modules) > 1
     assert [name for name, tree in modules.items()
             if _slot_uses(tree)] == ["paths.py"]
-    functions = {node.name: _slot_uses(node)
-                 for node in ast.walk(modules["paths.py"])
-                 if isinstance(node, ast.FunctionDef) and _slot_uses(node)}
-    assert functions == {"_accept": {"attribute", "string"},
-                         "stats": {"string"}}
+    assert _scope_uses(modules["paths.py"]) == {
+        "PathWord": {"string"},
+        "_accept": {"attribute", "string"},
+        "stats": {"string"},
+    }
 
 
 def test_only_paths_names_the_block_scanner():
@@ -762,27 +795,30 @@ def test_gates_answer_and_only_entry_points_raise():
     ]
 
 
-# the entry in which decompose_box keeps the ascents of the path it cut
-_KEPT_PARTS = {"_path_ascents"}
+# the slot in which decompose_box keeps the ascents of the path it cut, and
+# the builder that writes it
+_KEPT_PARTS = {"_path_ascents", "_kept_decomposition"}
 
 
 def test_only_decompose_box_writes_the_kept_decomposition_entry():
     # compose_box trusts the ascents a decomposition keeps, so only
     # decompose_box, which cut the parts from the path it accepted, may
-    # set them, and compose_box is their one reader
+    # set them, through the one builder that names the slot's setter, and
+    # compose_box is their one reader
     source = Path(__file__).resolve().parent.parent / "src" / "boxpaths"
     modules = {f.name: ast.parse(f.read_text())
                for f in sorted(source.glob("*.py"))}
     assert [name for name, tree in modules.items()
             if _slot_uses(tree, _KEPT_PARTS)] == ["bijections.py"]
-    functions = {node.name: _slot_uses(node, _KEPT_PARTS)
-                 for node in ast.walk(modules["bijections.py"])
-                 if isinstance(node, ast.FunctionDef)
-                 and _slot_uses(node, _KEPT_PARTS)}
-    assert functions == {"decompose_box": {"keyword"},
-                         "compose_box": {"string"}}
+    assert _scope_uses(modules["bijections.py"], _KEPT_PARTS) == {
+        "BoxDecomposition": {"string"},
+        "_kept_decomposition": {"attribute"},
+        "decompose_box": {"name"},
+        "compose_box": {"string"},
+    }
     dec = decompose_box(PathWord("UUUDLDUUUDLDUUDL"), 1)
-    assert set(vars(dec)) == {"k", "parts"} | _KEPT_PARTS
+    assert dec._path_ascents == (3, 3, 2)
+    assert type(dec).__slots__ == ("k", "parts", "_path_ascents")
 
 
 def test_generate_skew_dyck_counts():

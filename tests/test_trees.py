@@ -29,6 +29,7 @@ from boxpaths import (
     tree_to_kdyck,
 )
 from boxpaths import bijections, paths, trees
+from test_bijections import random_path, shaped_paths, slot_values
 
 
 def test_generate_trees_counts():
@@ -96,7 +97,7 @@ def test_the_constructor_accepts_exactly_the_words_of_trees():
             accepted.add(w)
             want = generated[w]
             assert tree == want and hash(tree) == hash(want)
-            assert vars(tree) == vars(want)
+            assert slot_values(tree) == slot_values(want)
             assert ref_word_of_nodes(tree.root, arity) == w
         assert accepted == set(generated), arity
     for arity in (0, -1):
@@ -189,7 +190,7 @@ def test_maps_build_values_equal_to_checked_ones():
                                     (back, KAryTree(arity, back.word))):
                     assert type(built) is type(want)
                     assert built == want and hash(built) == hash(want)
-                    assert vars(built) == vars(want)
+                    assert slot_values(built) == slot_values(want)
                 assert p.t == 0
 
 
@@ -619,7 +620,8 @@ def assert_same_tree(built, want):
     """A tree built from its word agrees with want, built from nodes."""
     assert type(built) is type(want) is KAryTree
     assert built == want and hash(built) == hash(want)
-    assert vars(built) == vars(want) == {"arity": want.arity, "word": want.word}
+    assert (slot_values(built) == slot_values(want)
+            == {"arity": want.arity, "word": want.word})
     # each .root read builds the nodes anew, so each is read once here
     built_root, want_root = built.root, want.root
     text = str(built)
@@ -658,8 +660,6 @@ def test_trees_built_from_words_match_trees_built_from_nodes():
 
 
 def test_tree_tuples_built_from_words_match_nodes_at_size_10000():
-    from test_bijections import random_path, shaped_paths
-
     rng = random.Random(12)
     n = 10**4
     for k in range(4):
@@ -673,7 +673,7 @@ def test_tree_tuples_built_from_words_match_nodes_at_size_10000():
                 text = assert_same_tree(tree, want)
                 parsed = parse_tree(text, k + 2)
                 assert parsed == ref_parse_tree(text, k + 2) == tree
-                assert vars(parsed) == vars(tree)
+                assert slot_values(parsed) == slot_values(tree)
 
 
 PARSE_REJECTIONS = [

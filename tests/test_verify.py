@@ -224,6 +224,18 @@ def test_carriers_keep_every_tails_they_bucket(monkeypatch):
     assert [verify._carriers(m, "U" + "D" * k + "L", n) for k, n, m in cases] == want
 
 
+def test_carriers_share_buckets_across_calls():
+    # family-minimality passes one buckets dict to every call with the
+    # same factor; a bucket depends on the tails and the head's crossing
+    # stem alone, so each call answers as with buckets of its own
+    for k in (1, 2):
+        factor, shared = "U" + "D" * k + "L", {}
+        for n, m in product((1, 2, 3), range(1, 9)):
+            assert (verify._carriers(m, factor, n, shared)
+                    == verify._carriers(m, factor, n)), (k, n, m)
+        assert shared
+
+
 def test_carriers_hold_one_chunk_at_a_time():
     # semilength 10 is 3.4 MB of text; the scan holds no word of it but
     # its carriers: it reads heads and the skew table's shared tails, and
